@@ -1,9 +1,10 @@
 """Entry-size guard shared by all exact-arithmetic code paths.
 
 Monomial dynamics and repeated matrix products can square integer sizes per
-step, so every routine that multiplies unbounded integers funnels its results
-through :func:`guard_int`.  The budget is expressed in decimal digits and can
-be overridden with the ``KATOLAB_DIGIT_CAP`` environment variable.
+step, so every routine that multiplies unbounded integers passes the largest
+magnitude it produced through :func:`guard_int`, once per product or
+elimination step.  The budget is expressed in decimal digits and can be
+overridden with the ``KATOLAB_DIGIT_CAP`` environment variable.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ def bit_cap() -> int:
     return int(digit_cap() * _BITS_PER_DIGIT) + 1
 
 
+def limit_error(context: str) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{context} exceeds {digit_cap()} decimal digits; "
+        f"raise {ENV_VAR} to allow larger intermediates"
+    )
+
+
 def guard_int(value: int, context: str = "value") -> int:
     """Pass ``value`` through unchanged unless it exceeds the digit cap."""
     if value.bit_length() > bit_cap():
-        raise ResourceLimitError(
-            f"{context} exceeds {digit_cap()} decimal digits; "
-            f"raise {ENV_VAR} to allow larger intermediates"
-        )
+        raise limit_error(context)
     return value

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gaussrat import GaussianRational, Point, sq_norm, sq_norm_12
 from .intmat import IntMatrix, characteristic_polynomial
-from .words import NotKato, factorize, is_kato, positivity_power, standard_form, type_of
+from .words import NotKato, Recognized, factorize, is_kato, positivity_power, recognize, type_of
 
 # -- exact evaluation -----------------------------------------------------------
 
@@ -276,7 +276,7 @@ class PerronData:
 _PERRON_ITER_CAP = 20_000
 
 
-def perron_data(a: IntMatrix, tol: float = 1e-10) -> PerronData:
+def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     """Certified dominant eigenvalue/eigenvector of the lower block.
 
     Power iteration runs on the strictly positive power ``B**p`` (``p`` from
@@ -289,9 +289,9 @@ def perron_data(a: IntMatrix, tol: float = 1e-10) -> PerronData:
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    form = standard_form(a)  # validates Kato
-    b = form.b
-    p = positivity_power(a)
+    rec = recognize(a)  # validates Kato
+    b = rec.form.b
+    p = positivity_power(rec)
     bp = b if p == 1 else b**p
     assert bp.is_positive()
 
@@ -394,7 +394,7 @@ def fundamental_domain_membership(a: IntMatrix, z: Point) -> bool:
     _require_star_domain(z, l)
     if not _in_ball_star(z, l):
         return False
-    return not _in_ball_star(eval_inverse(a, z), l)
+    return not _in_ball_star(eval_map(a.inverse_unimodular(), z), l)
 
 
 # -- spectrum vs roots of unity ---------------------------------------------------------

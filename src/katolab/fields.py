@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .dynamics import root_of_unity_check
 from .intmat import IntMatrix, left_kernel_lattice, vec_mat
+from .invariants import multiplicity_one
 from .laurent import SparseLaurentPoly, iter_monomials
 from .linsys import system_nullity
 from .words import standard_form
@@ -125,7 +126,7 @@ def standard_field_generators(a: IntMatrix) -> tuple[MonomialVectorField, ...]:
     stacked_rows = (form.b - IntMatrix.identity(form.b.n)).to_rows()
     stacked_rows.extend(list(r) for r in form.g)
     kernel = left_kernel_lattice(IntMatrix(stacked_rows).transpose())
-    m1 = n - (a - IntMatrix.identity(n)).rank()
+    m1 = multiplicity_one(a)
     if kernel.rank != m1 - l:
         raise RuntimeError("internal: diagonal-field count must be m1 - l")
     for v in kernel.rows:

@@ -11,7 +11,9 @@ JSON forms
     orbit    ``{"orbit": [["1/2+0i", ...], ...]}``
 
 Parsers sniff a leading ``{`` to pick the JSON reading and raise
-``ValueError`` with a human-readable message on malformed input.
+``ValueError`` with a human-readable message on malformed input.  Numbers
+longer than ``KATOLAB_DIGIT_CAP`` allows are refused before they are
+converted, and parsed values pass through the same guard as computed ones.
 """
 
 from __future__ import annotations
@@ -21,10 +23,19 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from ._limits import guard_int
+from ._limits import digit_cap, guard_int, limit_error
 from .gaussrat import GaussianRational, Point
 from .intmat import IntMatrix
 from .words import FactorSeq
+
+_DIGIT_RUN = re.compile(r"[0-9]+")
+
+
+def _refuse_long_numbers(text: str, context: str) -> None:
+    """Refuse text holding a digit run no integer under the cap has."""
+    if max(map(len, _DIGIT_RUN.findall(text)), default=0) > digit_cap() + 1:
+        raise limit_error(context)
+
 
 # -- matrices ------------------------------------------------------------------
 
@@ -47,6 +58,7 @@ def parse_matrix(text: str) -> IntMatrix:
     text = text.strip()
     if not text:
         raise ValueError("empty matrix input")
+    _refuse_long_numbers(text, "matrix entry")
     if text.startswith("{"):
         data = json.loads(text)
         if not isinstance(data, dict) or set(data) != {"n", "rows"}:
@@ -123,6 +135,7 @@ def parse_complex(text: str) -> GaussianRational:
     raw = text.strip().replace(" ", "")
     if not raw:
         raise ValueError("empty complex entry")
+    _refuse_long_numbers(raw, "point coordinate")
     try:
         if not raw.endswith("i"):
             return GaussianRational(Fraction(raw))
@@ -142,6 +155,8 @@ def parse_complex(text: str) -> GaussianRational:
         re_part = Fraction(re_text) if re_text else Fraction(0)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a complex rational: {text.strip()!r}") from None
+    parts = (re_part.numerator, re_part.denominator, im_part.numerator, im_part.denominator)
+    guard_int(max(map(abs, parts)), "point coordinate")
     return GaussianRational(re_part, im_part)
 
 

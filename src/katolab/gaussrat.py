@@ -2,8 +2,8 @@
 
 The dynamics code only ever needs field operations and integer powers, so
 this stays deliberately small: a frozen pair of ``Fraction`` values with
-exact arithmetic, squared modulus, and reciprocal.  All products pass through
-the digit-cap guard.
+exact arithmetic, squared modulus, and reciprocal.  Every product passes its
+largest numerator or denominator through the digit-cap guard.
 """
 
 from __future__ import annotations
@@ -72,10 +72,8 @@ class GaussianRational:
             return NotImplemented
         re = self.re * o.re - self.im * o.im
         im = self.re * o.im + self.im * o.re
-        guard_int(re.numerator, "real part")
-        guard_int(re.denominator, "real part")
-        guard_int(im.numerator, "imaginary part")
-        guard_int(im.denominator, "imaginary part")
+        parts = (re.numerator, re.denominator, im.numerator, im.denominator)
+        guard_int(max(map(abs, parts)), "real or imaginary part")
         return GaussianRational(re, im)
 
     __rmul__ = __mul__

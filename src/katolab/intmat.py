@@ -1,9 +1,10 @@
 """Exact dense integer matrices and integral lattice utilities.
 
 Everything here is arbitrary-precision and deterministic: matrix products,
-Bareiss determinants, Hermite normal forms with unimodular witnesses, left
-fixed lattices, and lattice indices computed over the rationals.  Matrices are
-immutable; sizes are small (a handful of rows), so clarity wins over
+fraction-free (Bareiss) elimination for determinants and ranks, Hermite normal
+forms with unimodular witnesses (which also give inverses and lattice
+indices), and left fixed lattices; no rational arithmetic anywhere.  Matrices
+are immutable; sizes are small (a handful of rows), so clarity wins over
 asymptotics throughout.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from ._limits import guard_int
@@ -138,15 +138,9 @@ class IntMatrix:
             if self.ncols != other.nrows:
                 raise ValueError("inner dimensions do not match")
             cols = other.columns()
-            return IntMatrix(
-                [
-                    [
-                        guard_int(sum(x * y for x, y in zip(r, c)), "matrix entry")
-                        for c in cols
-                    ]
-                    for r in self.rows
-                ]
-            )
+            rows = [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self.rows]
+            _guard_rows(rows, "matrix entry")
+            return IntMatrix(rows)
         return IntMatrix([[x * other for x in r] for r in self.rows])
 
     __rmul__ = __mul__
@@ -173,66 +167,25 @@ class IntMatrix:
     # -- exact linear algebra ------------------------------------------------
 
     def det(self) -> int:
-        """Determinant via the fraction-free Bareiss elimination."""
-        n = self.n
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = guard_int(
-                        (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev, "determinant minor"
-                    )
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        """Determinant: the last entry of the fraction-free echelon form."""
+        rows = self.to_rows()
+        swaps = _echelon(rows)[1]
+        return (-1) ** swaps * rows[self.n - 1][-1]
 
     def rank(self) -> int:
-        """Rank over the rationals."""
-        rows = [[Fraction(x) for x in r] for r in self.rows]
-        rank = 0
-        for col in range(self.ncols):
-            piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = 1 / rows[rank][col]
-            rows[rank] = [x * inv for x in rows[rank]]
-            for i in range(len(rows)):
-                if i != rank and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-            rank += 1
-        return rank
+        """Rank over the rationals: the pivot count of the echelon form."""
+        return len(_echelon(self.to_rows())[0])
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1."""
-        n = self.n
-        if self.det() not in (1, -1):
+        """Exact inverse of a matrix with determinant +-1.
+
+        The Hermite form of a unimodular matrix is the identity, so its
+        witness ``U`` (with ``U * self == I``) is the inverse.
+        """
+        h, u = hermite_normal_form(self)
+        if not h.is_identity():
             raise ValueError("matrix is not unimodular")
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            piv = next(i for i in range(col, n) if aug[i][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-        assert all(x.denominator == 1 for r in out for x in r)
-        return IntMatrix([[int(x) for x in r] for r in out])
+        return u
 
     # -- dunder plumbing -----------------------------------------------------
 
@@ -250,28 +203,64 @@ class IntMatrix:
         return f"IntMatrix({self.to_rows()!r})"
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product (associative; guarded by the digit cap)."""
-    return a * b
+def _guard_rows(rows: Iterable[Iterable[int]], context: str) -> None:
+    """One digit-cap check on the largest magnitude among ``rows``."""
+    guard_int(max(abs(x) for r in rows for x in r), context)
 
 
 def vec_mat(v: Sequence[int], m: IntMatrix) -> Row:
     """Row vector times matrix, exactly."""
     if len(v) != m.nrows:
         raise ValueError("vector length does not match row count")
-    return tuple(
-        guard_int(sum(v[i] * m.rows[i][j] for i in range(m.nrows)), "vector entry")
-        for j in range(m.ncols)
-    )
+    out = tuple(sum(v[i] * m.rows[i][j] for i in range(m.nrows)) for j in range(m.ncols))
+    _guard_rows((out,), "vector entry")
+    return out
 
 
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> Row:
     """Matrix times column vector, exactly."""
     if len(v) != m.ncols:
         raise ValueError("vector length does not match column count")
-    return tuple(
-        guard_int(sum(r[j] * v[j] for j in range(m.ncols)), "vector entry") for r in m.rows
-    )
+    out = tuple(sum(r[j] * v[j] for j in range(m.ncols)) for r in m.rows)
+    _guard_rows((out,), "vector entry")
+    return out
+
+
+# -- fraction-free elimination ------------------------------------------------
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of ``rows``, computed in place.
+
+    Returns the pivot columns and the number of row swaps.  After each step
+    the entries below the pivot rows are minors of the input, so every
+    division is exact and one guard per step covers them all.  For a
+    square input the last entry is the determinant, up to the sign of the
+    swaps (a singular input ends in a zero row).
+    """
+    nr = len(rows)
+    pivots: list[int] = []
+    swaps = 0
+    prev = 1
+    for col in range(len(rows[0])):
+        top = len(pivots)
+        if top == nr:
+            break
+        piv = next((i for i in range(top, nr) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            swaps += 1
+        head = rows[top]
+        p = head[col]
+        for i in range(top + 1, nr):
+            f = rows[i][col]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], head)]
+        _guard_rows(rows, "elimination minor")
+        prev = p
+        pivots.append(col)
+    return pivots, swaps
 
 
 # -- Hermite normal form ------------------------------------------------------
@@ -328,9 +317,7 @@ def hermite_normal_form(
             _row_addmul(work, i, top, -q)
             _row_addmul(u, i, top, -q)
         top += 1
-    for row in work:
-        for x in row:
-            guard_int(x, "normal form entry")
+    _guard_rows(work + u, "normal form entry")
     return IntMatrix(work), IntMatrix(u)
 
 
@@ -384,63 +371,28 @@ def left_fixed_lattice(a: IntMatrix) -> LatticeBasis:
     return left_kernel_lattice(a - IntMatrix.identity(a.n))
 
 
-def _solve_in_span(basis: tuple[Row, ...], target: Row) -> list[Fraction] | None:
-    """Solve ``x . basis == target`` over Q; None if target is outside the span.
-
-    ``basis`` rows must be linearly independent (LatticeBasis guarantees it).
-    """
-    m = len(basis)
-    n = len(target)
-    aug = [
-        [Fraction(basis[i][j]) for i in range(m)] + [Fraction(target[j])]
-        for j in range(n)
-    ]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    x = [Fraction(0)] * m
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][m]
-    return x
-
-
 def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> Union[int, float]:
     """Index ``[sup : sub]``: a positive integer, or ``math.inf`` if rank drops.
 
     Raises ``ValueError`` when ``sub`` is not contained in ``sup`` (either
     outside the rational span or with non-integer coordinates in it).
+    ``sub`` lies in ``sup`` exactly when adding its rows leaves the Hermite
+    basis of ``sup`` unchanged.  Nested lattices of equal rank share their
+    pivot columns, and projecting onto those is injective on the span, so
+    the index is the ratio of the products of the Hermite pivots (Cohen, *A
+    Course in Computational Algebraic Number Theory*, section 2.4).
     """
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    coeffs: list[list[Fraction]] = []
-    for v in sub.rows:
-        x = _solve_in_span(sup.rows, v)
-        if x is None:
-            raise ValueError("sub-lattice is not contained in the rational span")
-        coeffs.append(x)
-    if any(c.denominator != 1 for row in coeffs for c in row):
+    joined = LatticeBasis.from_rows(sup.ambient_dim, sup.rows + sub.rows)
+    if joined.rank > sup.rank:
+        raise ValueError("sub-lattice is not contained in the rational span")
+    if joined != sup:
         raise ValueError("not a sublattice: non-integer coordinates over the big lattice")
     if sub.rank < sup.rank:
         return math.inf
-    if sup.rank == 0:
-        return 1
-    x_mat = IntMatrix([[int(c) for c in row] for row in coeffs])
-    return abs(x_mat.det())
+    pivots = [math.prod(next(x for x in r if x) for r in b.rows) for b in (sub, sup)]
+    return pivots[0] // pivots[1]
 
 
 # -- characteristic polynomial -------------------------------------------------

@@ -2,20 +2,23 @@
 
 Everything is assembled exactly from the factor word, the block structure,
 and integer lattice computations; the only float in the report is the
-certified dominant eigenvalue.  ``build_report`` also re-checks the proven
-consistency relations between the pieces and raises ``RuntimeError`` if any
-fails (which would be an internal bug, not bad input).
+certified dominant eigenvalue.  ``build_report`` recognizes the matrix once
+and computes ``m1``, the fixed lattice and the positivity power once each.
+It also re-checks the proven consistency relations between the pieces and
+raises ``RuntimeError`` if any fails (which would be an internal bug, not bad
+input).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 from .dynamics import perron_data
+from .formats import format_matrix_text
 from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice, lattice_index, vec_mat
-from .words import StandardForm, factorize, standard_form
+from .words import Recognized, StandardForm, recognize
 
 # -- cohomology ------------------------------------------------------------------
 
@@ -66,9 +69,12 @@ def theta_lattice(a: IntMatrix, form: StandardForm) -> tuple[LatticeBasis, int]:
     fixed by ``a``; the documented rank relation ``rank K_B = rank K_A - l``
     is asserted.
     """
+    return _theta_lattice(a, form, left_fixed_lattice(a))
+
+
+def _theta_lattice(a: IntMatrix, form: StandardForm, ka: LatticeBasis) -> tuple[LatticeBasis, int]:
     n, l = form.n, form.l
     nl = n - l
-    ka = left_fixed_lattice(a)
     kb = left_fixed_lattice(form.b)
     if kb.rank != ka.rank - l:
         raise RuntimeError("internal: block kernel rank relation violated")
@@ -117,9 +123,7 @@ def invariant_monomials(a: IntMatrix) -> list[InvariantMonomial]:
     Coordinate names follow the block split: ``z1..zl`` then ``w(l+1)..wn``.
     Each exponent vector satisfies ``I A == I`` exactly.
     """
-    from .words import type_of
-
-    l = type_of(a)
+    l = recognize(a).l
     ka = left_fixed_lattice(a)
     names = [f"z{i + 1}" if i < l else f"w{i + 1}" for i in range(a.n)]
     out = []
@@ -180,27 +184,27 @@ def hol_vf_dimension(a: IntMatrix) -> DimensionValue:
     the covering bound through the positive power); exact ``m1`` for positive
     type-0 matrices; otherwise the proven lower bound ``l^2 - l + m1``.
     """
-    from .words import type_of
+    return _hol_vf_dimension(recognize(a), multiplicity_one(a))
 
-    l = type_of(a)
-    n = a.n
-    m1 = multiplicity_one(a)
+
+def _hol_vf_dimension(rec: Recognized, m1: int) -> DimensionValue:
+    n, l = rec.matrix.n, rec.l
     if l == n - 2:
         return DimensionValue.exact((n - 1) * (n - 2))
-    if l == 0 and a.is_positive():
+    if l == 0 and rec.matrix.is_positive():
         return DimensionValue.exact(m1)
     return DimensionValue.lower_bound(l * l - l + m1)
 
 
 def alg_dim(a: IntMatrix) -> DimensionValue:
     """Algebraic dimension: exact ``n-2`` when ``l == n-2``, else bounds."""
-    from .words import type_of
+    return _alg_dim(recognize(a), multiplicity_one(a))
 
-    l = type_of(a)
-    n = a.n
+
+def _alg_dim(rec: Recognized, m1: int) -> DimensionValue:
+    n, l = rec.matrix.n, rec.l
     if l == n - 2:
         return DimensionValue.exact(n - 2)
-    m1 = multiplicity_one(a)
     return DimensionValue.between(max(m1, l), n - 1)
 
 
@@ -223,11 +227,11 @@ def canonical_descriptor(a: IntMatrix) -> CanonicalData:
     flat bundle ``L``.  The anticanonical count applies only for
     ``l == n-2`` with determinant +1.
     """
-    from .words import type_of
+    return _canonical_data(recognize(a), a.det())
 
-    l = type_of(a)
-    n = a.n
-    det = a.det()
+
+def _canonical_data(rec: Recognized, det: int) -> CanonicalData:
+    n, l = rec.matrix.n, rec.l
     terms = "".join(f"-A_({j})" for j in range(1, l + 1)) + "-C"
     bundle = f"O({terms})"
     descriptor = f"K = {bundle}" if det == 1 else f"K = L⊗{bundle}"
@@ -317,13 +321,9 @@ def build_report(a: IntMatrix) -> InvariantReport:
     Raises recognition errors for non-Kato input and ``RuntimeError`` if any
     proven cross-relation fails internally.
     """
-    seq = factorize(a)
-    from .words import NotKato
-
-    if not seq.is_kato_word:
-        raise NotKato("matrix is a pure power of the index-n factor")
-    form = standard_form(a)
-    n, l, k = a.n, form.l, seq.k
+    rec = recognize(a)
+    form = rec.form
+    n, l, k = a.n, form.l, rec.word.k
     r = n - l
 
     betti = betti_numbers(n, k)
@@ -336,7 +336,7 @@ def build_report(a: IntMatrix) -> InvariantReport:
     ka = left_fixed_lattice(a)
     if ka.rank != m1 or m1 < l:
         raise RuntimeError("internal: fixed-lattice rank inconsistency")
-    theta, idx = theta_lattice(a, form)
+    theta, idx = _theta_lattice(a, form, ka)
     if l == n - 2 and (idx != 1 or m1 != n - 2):
         raise RuntimeError("internal: the l = n-2 case must have index 1 and m1 = n-2")
     if form.b.is_positive() and k < r:
@@ -344,11 +344,10 @@ def build_report(a: IntMatrix) -> InvariantReport:
     if l >= 1 and not verify_J0_relation(form):
         raise RuntimeError("internal: all-ones row relation failed")
 
-    canonical = canonical_descriptor(a)
+    det = a.det()
+    canonical = _canonical_data(rec, det)
     alg_reduction = None
     if l == n - 2:
-        from .formats import format_matrix_text
-
         alg_reduction = (
             f"map onto P^{n - 2}; generic fiber bimeromorphic to the surface "
             f"of the block {format_matrix_text(form.b)}"
@@ -366,18 +365,18 @@ def build_report(a: IntMatrix) -> InvariantReport:
         kA_basis=ka,
         theta_basis=theta,
         theta_index=idx,
-        alg_dim=alg_dim(a),
-        h0_tangent=hol_vf_dimension(a),
+        alg_dim=_alg_dim(rec, m1),
+        h0_tangent=_hol_vf_dimension(rec, m1),
         h0_one_forms=0,
         kodaira="-infinity",
         pi1_M="Z",
         pi1_M_minus_C=SemidirectGroup(f"Z ⋉ Z^{r}", form.b),
-        perron_alpha=perron_data(a).alpha,
+        perron_alpha=perron_data(rec).alpha,
         torus_rank=l,
         k_components=k,
         covering_degree_to_base=(n - l - 1) if l > 0 else None,
         canonical_descriptor=canonical.descriptor,
         anticanonical_h0=canonical.anticanonical_h0,
         alg_reduction=alg_reduction,
-        det=a.det(),
+        det=det,
     )

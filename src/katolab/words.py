@@ -5,7 +5,8 @@ An elementary matrix of dimension ``n`` and index ``j`` has columns
 column.  A *Kato matrix* is a nonempty product of elementaries that is not a
 pure power of the index-``n`` factor.  Factorization peels the rightmost
 factor by subtracting the first ``n-1`` columns from the last and re-inserting
-the difference at the unique position compatible with the column chain order.
+the difference at the unique position compatible with the column chain order;
+:func:`recognize` keeps the word together with the block form.
 """
 
 from __future__ import annotations
@@ -230,23 +231,35 @@ class StandardForm:
         return IntMatrix(rows)
 
 
-def standard_form(a: IntMatrix) -> StandardForm:
-    """Split a Kato matrix into its type-``l`` block form.
+@dataclass(frozen=True)
+class Recognized:
+    """A Kato matrix recognized once: the matrix, its factor word, its block form."""
 
-    The block structure is guaranteed for factor products; it is re-checked
-    here and a violation raises ``RuntimeError`` (an internal bug, not bad
-    input).
+    matrix: IntMatrix
+    word: FactorSeq
+    form: StandardForm
+
+    @property
+    def l(self) -> int:
+        return self.form.l
+
+
+def recognize(a: IntMatrix | Recognized) -> Recognized:
+    """Factorize a Kato matrix once and split it into its type-``l`` block form.
+
+    Raises :class:`NotAProduct` or :class:`NotKato` for other input.  A value
+    already recognized is returned as it is, so a function that starts with
+    ``recognize`` accepts either.  The block structure is guaranteed for
+    factor products; it is re-checked here and a violation raises
+    ``RuntimeError`` (an internal bug, not bad input).
     """
-    l = type_of(a)
-    n = a.n
-    for i in range(l):
-        for j in range(l):
-            if a.rows[i][j] != int(i == j):
-                raise RuntimeError("internal: leading block is not the identity")
-    for i in range(l, n):
-        for j in range(l):
-            if a.rows[i][j] != 0:
-                raise RuntimeError("internal: lower-left block is not zero")
+    if isinstance(a, Recognized):
+        return a
+    word = _require_kato_word(a)
+    l = min(word.indices) - 1
+    for i, row in enumerate(a.rows):
+        if any(row[j] != int(i == j) for j in range(l)):
+            raise RuntimeError("internal: the first l columns are not e_1..e_l")
     g = tuple(a.rows[i][l:] for i in range(l))
     if l:
         if any(row != g[0] for row in g):
@@ -255,7 +268,12 @@ def standard_form(a: IntMatrix) -> StandardForm:
             raise RuntimeError("internal: off-diagonal line vanishes")
     line: Row = g[0] if l else ()
     b = IntMatrix([row[l:] for row in a.rows[l:]])
-    return StandardForm(l=l, g=g, b=b, line=line)
+    return Recognized(a, word, StandardForm(l=l, g=g, b=b, line=line))
+
+
+def standard_form(a: IntMatrix) -> StandardForm:
+    """Split a Kato matrix into its type-``l`` block form."""
+    return recognize(a).form
 
 
 def cyclic_normal_form(seq: FactorSeq) -> FactorSeq:
@@ -269,19 +287,19 @@ def cyclic_normal_form(seq: FactorSeq) -> FactorSeq:
     return FactorSeq(seq.n, best)
 
 
-def positivity_power(a: IntMatrix) -> int:
+def positivity_power(a: IntMatrix | Recognized) -> int:
     """Least ``p >= 1`` with the lower block of ``a**p`` strictly positive.
 
     Bounded by the block dimension ``n - l`` for Kato matrices; exceeding the
     bound indicates an internal bug.
     """
-    form = standard_form(a)
-    power = form.b
+    b = recognize(a).form.b
+    power = b
     p = 1
     while not power.is_positive():
-        if p >= form.b.n:
+        if p >= b.n:
             raise RuntimeError("internal: positivity bound exceeded")
-        power = power * form.b
+        power = power * b
         p += 1
     return p
 

@@ -1,5 +1,7 @@
 import io
 import json
+import re
+import sys
 
 import pytest
 
@@ -86,6 +88,47 @@ def test_digit_cap_env(capsys, monkeypatch):
     code, _, err = invoke(capsys, "factor", "100,1;1,2")
     assert code == EXIT_BAD_INPUT
     assert "KATOLAB_DIGIT_CAP" in err
+
+
+# -- integers longer than Python's default 4300-digit str conversion limit ----------
+
+
+def test_orbit_prints_integers_past_the_str_limit(capsys, monkeypatch):
+    monkeypatch.delenv("KATOLAB_DIGIT_CAP", raising=False)
+    before = sys.get_int_max_str_digits()
+    code, out, err = invoke(
+        capsys, "dynamics", "1,2;2,5", "--action", "orbit", "--point", "10+0i;10+0i", "--steps", "5"
+    )
+    assert code == EXIT_OK, err
+    assert max(map(len, re.findall(r"[0-9]+", out))) > 4300
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_long_entry_parses_under_the_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("KATOLAB_DIGIT_CAP", raising=False)
+    big = "1" + "0" * 5000
+    code, _, err = invoke(capsys, "factor", f"{big},0;0,1")
+    assert code == EXIT_NOT_KATO and "unimodular" in err  # read in full, then recognized
+    code, out, _ = invoke(capsys, "dynamics", "1,2;2,5", "--point", f"{big}+0i;1+0i")
+    assert code == EXIT_OK and big in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "1234567890123,0;0,1"),
+        ("factor", "9" * 5000 + ",0;0,1"),
+        ("factor", '{"n":2,"rows":[[' + "9" * 5000 + ",0],[0,1]]}"),
+        ("dynamics", "1,2;2,5", "--point", "1/10000000000000+0i;1+0i"),
+        ("dynamics", "1,2;2,5", "--point", "9" * 5000 + "+0i;1+0i"),
+        ("dynamics", "1,2;2,5", "--point", '{"orbit":[["1+' + "9" * 5000 + 'i","1+0i"]]}'),
+    ],
+)
+def test_number_over_the_cap_names_it(capsys, monkeypatch, argv):
+    monkeypatch.setenv("KATOLAB_DIGIT_CAP", "12")
+    code, _, err = invoke(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert "12 decimal digits" in err and "KATOLAB_DIGIT_CAP" in err
 
 
 # -- invariants ---------------------------------------------------------------------

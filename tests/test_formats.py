@@ -9,6 +9,7 @@ from katolab import (
     FactorSeq,
     GaussianRational,
     IntMatrix,
+    ResourceLimitError,
     format_complex,
     format_matrix_json,
     format_matrix_text,
@@ -22,6 +23,7 @@ from katolab import (
     parse_point,
     parse_seq,
 )
+from katolab._limits import ENV_VAR
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -178,3 +180,16 @@ def test_orbit_frozen():
     assert dumped == {"orbit": [["1+0i"], ["0+1i"]]}
     with pytest.raises(ValueError):
         parse_orbit('{"points": []}')
+
+
+# -- the digit cap on parsed points ------------------------------------------------------
+
+
+def test_point_parsers_apply_the_digit_cap(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "12")
+    assert parse_point("1/1000000000000+0i") == (GaussianRational(Fraction(1, 10**12)),)
+    for text in ("1/10000000000000+0i", "0+99999999999999i", "1/3+2/" + "7" * 20 + "i"):
+        with pytest.raises(ResourceLimitError, match="12 decimal digits"):
+            parse_point(text)
+        with pytest.raises(ResourceLimitError, match=ENV_VAR):
+            parse_orbit(json.dumps({"orbit": [[text]]}))
