@@ -39,6 +39,10 @@ LAYERS = (
     "invariants.multiplicity_one.calls",
     "invariants.build_report.calls",
     "limits.guard_int.calls",
+    "dynamics.perron_data.failed",
+    "dynamics.perron_data.self_ms",
+    "cli.import_katolab_ms",
+    "cli.import_numpy_ms",
 )
 
 

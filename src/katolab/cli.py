@@ -109,9 +109,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 def _report_text(report: InvariantReport) -> str:
     def basis(b) -> str:
-        if not b.rows:
-            return "(none)"
-        return ";".join(",".join(str(e) for e in row) for row in b.rows)
+        return ";".join(",".join(str(e) for e in row) for row in b.rows) or "(none)"
 
     lines = [
         f"n: {report.n}",
@@ -425,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=256, help="sample count for certify12 (default 256)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance for perron")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative width of the exact enclosure (perron)")
     p.set_defaults(handler=_cmd_dynamics)
 
     p = sub.add_parser("verify", parents=[source], help="run the symbolic invariance checks")

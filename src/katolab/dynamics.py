@@ -5,20 +5,19 @@ The germ of an integer matrix ``A`` sends ``z`` to the point whose ``s``-th
 coordinate is the product of ``z_t`` raised to the row-``s`` exponents.  All
 set membership tests here (balls, stable set, fundamental domain) are decided
 in exact rational arithmetic; the only floating-point code is the power
-iteration behind :func:`perron_data`, which carries an explicit residual
-certificate.
+iteration behind :func:`perron_data`, whose result is certified by an exact
+rational enclosure of the Perron root.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Literal, Optional
-
-import numpy as np
 
 from .gaussrat import GaussianRational, Point, sq_norm, sq_norm_12
 from .intmat import IntMatrix, characteristic_polynomial
@@ -249,7 +248,7 @@ def _reduce_radicand(m: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Dominant eigendata of the lower block, with a residual certificate."""
+    """Dominant eigendata of the lower block, with an exact enclosure of the root."""
 
     alpha: float
     vector: tuple[float, ...]
@@ -259,6 +258,7 @@ class PerronData:
     power_residual: float
     tol: float
     surd: Optional[QuadraticSurd]
+    enclosure: tuple[Fraction, Fraction]
 
     def to_json(self) -> dict:
         return {
@@ -270,22 +270,37 @@ class PerronData:
             "power_residual": self.power_residual,
             "tol": self.tol,
             "surd": str(self.surd) if self.surd is not None else None,
+            "enclosure": [str(x) for x in self.enclosure],
         }
 
 
 _PERRON_ITER_CAP = 20_000
+_FLOAT_NOISE = 2.0**-40  # relative step of a float vector that has settled
+_PERRON_STALLS = 16  # settled exact checks in a row that leave the enclosure no narrower
+
+
+def _rows_times(rows, v: list) -> list:
+    return [sum(map(operator.mul, row, v)) for row in rows]
 
 
 def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     """Certified dominant eigenvalue/eigenvector of the lower block.
 
-    Power iteration runs on the strictly positive power ``B**p`` (``p`` from
-    :func:`positivity_power`) in float64 and stops once *both* residuals
-    ``|B f - alpha f|`` and ``|B**p f - alpha**p f|`` drop below
-    ``tol * |f|`` in the max norm.  For 2x2 blocks the dominant eigenvalue of
-    ``B`` itself is also returned exactly, as a quadratic surd: with trace t
-    and determinant d it is ``(t + sqrt(t^2 - 4d)) / 2``, the larger real
-    root, which is the spectral radius because ``t >= 0``.
+    Float power steps on the strictly positive power ``B**p`` (``p`` from
+    :func:`positivity_power`) settle a positive vector.  Scaled by a power of
+    two to an integer vector ``q`` that keeps all its bits, it bounds the
+    Perron root of ``B`` exactly: ``lo = min_i (Bq)_i/q_i <= alpha <=
+    max_i (Bq)_i/q_i = hi`` (Collatz-Wielandt; Meyer, *Matrix Analysis*, 8.3).
+    Steps go on until ``lo > 1`` and ``hi - lo <= tol * lo`` in exact
+    rationals, so ``tol`` is the relative width of ``enclosure``;
+    ``ArithmeticError`` means float64 cannot certify that width.  ``alpha`` is
+    the float nearest the midpoint (the enclosure widens to hold it when no
+    float lies inside).  Residuals of the unit ``vector`` are only reported.
+
+    For 2x2 blocks the dominant eigenvalue of ``B`` itself is also returned
+    exactly, as a quadratic surd: with trace t and determinant d it is
+    ``(t + sqrt(t^2 - 4d)) / 2``, the larger real root, which is the spectral
+    radius because ``t >= 0``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -295,30 +310,35 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     bp = b if p == 1 else b**p
     assert bp.is_positive()
 
-    b_np = np.array(b.to_rows(), dtype=np.float64)
-    bp_np = np.array(bp.to_rows(), dtype=np.float64)
-    v = np.ones(b.n, dtype=np.float64)
-    alpha = 0.0
-    resid = resid_p = math.inf
-    its = 0
-    for its in range(1, _PERRON_ITER_CAP + 1):
-        w = bp_np @ v
-        v = w / np.linalg.norm(w)
-        lam = float(v @ (bp_np @ v))  # Rayleigh quotient for the positive power
-        alpha = lam ** (1.0 / p)
-        scale = float(np.max(np.abs(v)))
-        resid = float(np.max(np.abs(b_np @ v - alpha * v)))
-        resid_p = float(np.max(np.abs(bp_np @ v - lam * v)))
-        if resid <= tol * scale and resid_p <= tol * scale:
+    v = [1.0] * b.n
+    its, narrowest, stalls = 0, math.inf, 0
+    while its < _PERRON_ITER_CAP and stalls < _PERRON_STALLS:
+        its += 1
+        w = _rows_times(bp.rows, v)
+        top = max(w)
+        w = [x / top for x in w]
+        moved = max(abs(x - y) / x for x, y in zip(w, v))
+        v = w
+        if moved > max(tol, _FLOAT_NOISE):
+            continue  # still moving: no exact bounds yet
+        shift = 53 - math.frexp(min(v))[1]
+        q = [int(math.ldexp(x, shift)) for x in v]  # exact: min(q) lies in [2**52, 2**53)
+        if min(q) <= 0:
+            raise RuntimeError("internal: Perron vector is not positive")
+        ratios = [Fraction(y, x) for x, y in zip(q, _rows_times(b.rows, q))]
+        alpha = float((min(ratios) + max(ratios)) / 2)
+        lo, hi = min(*ratios, Fraction(alpha)), max(*ratios, Fraction(alpha))
+        if lo > 1 and hi - lo <= Fraction(tol) * lo:
             break
+        stalls = 0 if hi - lo < narrowest or moved > _FLOAT_NOISE else stalls + 1
+        narrowest = min(narrowest, hi - lo)
     else:
-        raise ArithmeticError("Perron iteration did not reach the tolerance")
+        raise ArithmeticError(f"tolerance {tol!r} is below what float64 power steps can certify")
 
-    if np.all(v < 0):
-        v = -v
-    if not (alpha > 1 and np.all(v > 0)):
-        raise RuntimeError("internal: Perron data violates positivity")
-
+    norm = math.hypot(*v)
+    f = [x / norm for x in v]
+    residual = max(abs(y - alpha * x) for x, y in zip(f, _rows_times(b.rows, f)))
+    power_residual = max(abs(y - alpha**p * x) for x, y in zip(f, _rows_times(bp.rows, f)))
     surd = None
     if b.n == 2:
         tr, det = b.trace(), b.det()
@@ -328,13 +348,14 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
             surd = QuadraticSurd(Fraction(tr, 2), Fraction(ext, 2), rad)
     return PerronData(
         alpha=alpha,
-        vector=tuple(float(x) for x in v),
+        vector=tuple(f),
         power_used=p,
         iterations=its,
-        residual=resid,
-        power_residual=resid_p,
+        residual=residual,
+        power_residual=power_residual,
         tol=tol,
         surd=surd,
+        enclosure=(lo, hi),
     )
 
 
@@ -413,15 +434,6 @@ def _euler_phi(m: int) -> int:
     if mm > 1:
         out -= out // mm
     return out
-
-
-def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

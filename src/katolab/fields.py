@@ -117,10 +117,7 @@ def standard_field_generators(a: IntMatrix) -> tuple[MonomialVectorField, ...]:
     """
     form = standard_form(a)
     n, l = form.n, form.l
-    gens: list[MonomialVectorField] = []
-    for s in range(1, l + 1):
-        for t in range(1, l + 1):
-            gens.append(coordinate_field(n, s, t))
+    gens = [coordinate_field(n, s, t) for s in range(1, l + 1) for t in range(1, l + 1)]
 
     # right kernel of [[B - I], [G]]: directions fixed by B and killed by G
     stacked_rows = (form.b - IntMatrix.identity(form.b.n)).to_rows()

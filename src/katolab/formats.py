@@ -129,13 +129,15 @@ def format_seq_json(seq: FactorSeq) -> dict:
 def parse_complex(text: str) -> GaussianRational:
     """Parse ``a``, ``bi``, or ``a+bi`` with exact rational parts.
 
-    The rational parts look like ``2``, ``-1/3``; a bare/signed ``i`` means
-    coefficient one.
+    The rational parts look like ``2``, ``-1/3`` or ``0.5`` (no exponent); a
+    bare/signed ``i`` means coefficient one.
     """
     raw = text.strip().replace(" ", "")
     if not raw:
         raise ValueError("empty complex entry")
     _refuse_long_numbers(raw, "point coordinate")
+    if "e" in raw.lower():  # Fraction would expand an exponent before any digit cap applies
+        raise ValueError(f"not a complex rational: {text.strip()!r}")
     try:
         if not raw.endswith("i"):
             return GaussianRational(Fraction(raw))

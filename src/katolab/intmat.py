@@ -113,9 +113,6 @@ class IntMatrix:
     def is_positive(self) -> bool:
         return all(x > 0 for r in self.rows for x in r)
 
-    def is_nonnegative(self) -> bool:
-        return all(x >= 0 for r in self.rows for x in r)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":

@@ -1,11 +1,11 @@
 """Closed-form invariants of the compact manifolds attached to Kato matrices.
 
 Everything is assembled exactly from the factor word, the block structure,
-and integer lattice computations; the only float in the report is the
-certified dominant eigenvalue.  ``build_report`` recognizes the matrix once
-and computes ``m1``, the fixed lattice and the positivity power once each.
-It also re-checks the proven consistency relations between the pieces and
-raises ``RuntimeError`` if any fails (which would be an internal bug, not bad
+and integer lattice computations; the only float in the report is the Perron
+root, certified by an exact rational enclosure.  ``build_report`` recognizes
+the matrix once and computes ``m1``, the fixed lattice and the positivity
+power once each.  It also re-checks the proven consistency relations between
+the pieces and raises ``RuntimeError`` if any fails (an internal bug, not bad
 input).
 """
 

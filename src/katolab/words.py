@@ -11,13 +11,10 @@ the difference at the unique position compatible with the column chain order;
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .intmat import IntMatrix, Row
-
-logger = logging.getLogger(__name__)
 
 
 class KatoRecognitionError(ValueError):
@@ -169,9 +166,6 @@ def factorize(a: IntMatrix) -> FactorSeq:
         if not positions:
             raise NotAProduct("peeled column fits no position in the column chain")
         if len(positions) > 1:
-            logger.warning(
-                "ambiguous insertion positions %s while peeling %r", positions, a
-            )
             raise AmbiguousOrder(f"insertion position is not unique: {positions}")
         q = positions[0]
         peeled.append(q + 1)

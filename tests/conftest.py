@@ -45,6 +45,22 @@ def random_positive_type0(
     return a if p == 1 else a**p
 
 
+def positive_block_power(seq: FactorSeq) -> list[list[int]]:
+    """The first strictly positive power of the word's lower block.
+
+    Computed with plain lists, so filters built on it do not lean on the code
+    under test; its row sums bound the Perron root of that power from both
+    sides.
+    """
+    rows = compose_factors(seq).to_rows()
+    l = min(seq.indices) - 1
+    b = [r[l:] for r in rows[l:]]
+    power = b
+    while not all(x > 0 for r in power for x in r):
+        power = [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in power]
+    return power
+
+
 def small_word_corpus(n_values=(2, 3, 4), max_k: int = 3) -> list[FactorSeq]:
     """Every Kato word with the given dimensions and length, deterministically."""
     out = []

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -261,6 +262,38 @@ def test_dynamics_perron(capsys):
     data = json.loads(out)
     assert abs(data["alpha"] - 5.828427124746190) < 1e-9
     assert data["surd"] == "3 + 2*sqrt(2)"
+
+
+def test_dynamics_perron_reports_exact_enclosure(capsys):
+    code, out, _ = invoke(capsys, "dynamics", "1,2;2,5", "--action", "perron", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    lo, hi = (Fraction(x) for x in data["enclosure"])
+    assert lo <= Fraction(data["alpha"]) <= hi and hi - lo <= Fraction(1e-10) * lo
+
+
+def test_dynamics_perron_tolerance_beyond_float64(capsys):
+    code, _, err = invoke(capsys, "dynamics", "1,2;2,5", "--action", "perron", "--tol", "1e-30")
+    assert code == EXIT_BAD_INPUT and "1e-30" in err
+
+
+def test_invariants_large_perron_root(capsys):
+    """A valid 6x6 Kato matrix whose block power has a root near 9.3e5; the
+    former float residual iteration gave up on it."""
+    code, out, _ = invoke(
+        capsys,
+        "invariants",
+        "0,0,0,4,12,33;1,0,0,8,24,67;0,0,0,7,20,55;0,0,0,6,17,47;0,1,0,8,24,67;0,0,1,8,24,67",
+        "--format",
+        "json",
+    )
+    assert code == EXIT_OK
+    assert 97.46413065288233 <= json.loads(out)["perron_alpha"] <= 97.464130652885
+
+
+def test_dynamics_point_with_exponent_is_refused(capsys):
+    code, _, err = invoke(capsys, "dynamics", "1,2;2,5", "--action", "map", "--point", "1e30000000+0i;1+0i")
+    assert code == EXIT_BAD_INPUT and "not a complex rational" in err
 
 
 def test_dynamics_certify12(capsys):

@@ -27,7 +27,7 @@ from katolab import (
 )
 from katolab.gaussrat import GaussianRational, as_point
 
-from conftest import random_factor_seq, random_positive_type0
+from conftest import positive_block_power, random_factor_seq, random_positive_type0
 
 B25 = IntMatrix([[1, 2], [2, 5]])
 A12 = IntMatrix([[0, 1], [1, 2]])
@@ -210,6 +210,41 @@ def test_perron_rejects():
         perron_data(B25, tol=0)
     with pytest.raises(NotKato):
         perron_data(IntMatrix([[1, 1], [0, 1]]))
+
+
+def test_perron_tolerance_beyond_float64_names_it():
+    with pytest.raises(ArithmeticError, match="1e-30"):
+        perron_data(B25, tol=1e-30)
+
+
+def _largest_real_root(rows) -> tuple[Fraction, Fraction]:
+    """Isolating interval of the largest real root of ``det(x I - B)``, from
+    sympy's exact real-root isolation."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.Matrix(rows).charpoly(x).as_expr(), x)
+    (a, b), _ = poly.intervals(eps=sympy.Rational(1, 10**30))[-1]
+    return Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+
+
+def test_perron_enclosure_on_large_power_roots():
+    """Words whose positive block power has Perron root >= 3e5, where float64
+    cannot resolve an absolute residual: the exact enclosure is still as
+    narrow as asked and meets sympy's isolating interval of the root."""
+    rng = random.Random(17)
+    tol = Fraction(1e-10)
+    found = 0
+    while found < 12:
+        seq = random_factor_seq(rng)
+        if min(sum(r) for r in positive_block_power(seq)) < 300_000:
+            continue  # the smallest row sum bounds that root from below
+        found += 1
+        rows = compose_factors(seq).to_rows()
+        l = min(seq.indices) - 1
+        data = perron_data(compose_factors(seq))
+        lo, hi = data.enclosure
+        assert 1 < lo <= Fraction(data.alpha) <= hi and hi - lo <= tol * lo
+        ref_lo, ref_hi = _largest_real_root([r[l:] for r in rows[l:]])
+        assert lo <= ref_hi and ref_lo <= hi, f"enclosure of {seq} misses the root"
 
 
 # -- stable set and fundamental domain ----------------------------------------------

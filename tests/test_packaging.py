@@ -1,0 +1,52 @@
+"""The package as a user meets it: no third-party module at run time, and a
+README quick tour that runs as written."""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs ``python -m katolab`` with numpy made unimportable (and, with -S, no
+# site-packages), then lists every loaded module outside the standard library
+# and the package itself.
+NO_THIRD_PARTY = """
+import runpy, sys
+sys.modules["numpy"] = None
+import katolab
+sys.argv = ["katolab", "invariants", "1,0,2;0,0,1;0,1,2"]
+try:
+    runpy.run_module("katolab", run_name="__main__")
+finally:
+    extra = sorted(
+        name
+        for name, module in sys.modules.items()
+        if module is not None
+        and name.partition(".")[0] not in sys.stdlib_module_names | {"__main__", "katolab"}
+    )
+    print("third-party:", extra, file=sys.stderr)
+"""
+
+
+def test_runs_without_any_third_party_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", NO_THIRD_PARTY], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "perron_alpha: " in proc.stdout
+    assert "third-party: []" in proc.stderr
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue().split() == ["4", "1", "K", "=", "L⊗O(-A_(1)-C)"]
