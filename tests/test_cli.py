@@ -262,12 +262,6 @@ def test_dynamics_perron(capsys):
     data = json.loads(out)
     assert abs(data["alpha"] - 5.828427124746190) < 1e-9
     assert data["surd"] == "3 + 2*sqrt(2)"
-
-
-def test_dynamics_perron_reports_exact_enclosure(capsys):
-    code, out, _ = invoke(capsys, "dynamics", "1,2;2,5", "--action", "perron", "--format", "json")
-    assert code == EXIT_OK
-    data = json.loads(out)
     lo, hi = (Fraction(x) for x in data["enclosure"])
     assert lo <= Fraction(data["alpha"]) <= hi and hi - lo <= Fraction(1e-10) * lo
 

@@ -210,11 +210,8 @@ def test_perron_rejects():
         perron_data(B25, tol=0)
     with pytest.raises(NotKato):
         perron_data(IntMatrix([[1, 1], [0, 1]]))
-
-
-def test_perron_tolerance_beyond_float64_names_it():
-    with pytest.raises(ArithmeticError, match="1e-30"):
-        perron_data(B25, tol=1e-30)
+    with pytest.raises(ArithmeticError, match="tolerance 1e-30"):
+        perron_data(B25, tol=1e-30)  # narrower than float64 power steps resolve
 
 
 def _largest_real_root(rows) -> tuple[Fraction, Fraction]:
