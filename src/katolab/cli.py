@@ -29,6 +29,7 @@ from .dynamics import (
     stable_membership,
 )
 from .fields import (
+    generator_rank,
     one_form_nullity,
     pushforward_invariance,
     standard_field_generators,
@@ -43,7 +44,6 @@ from .invariants import (
     multiplicity_one,
     verify_J0_relation,
 )
-from .linsys import system_rank
 from .words import KatoRecognitionError, compose_factors, factorize, standard_form, type_of
 
 EXIT_OK = 0
@@ -250,25 +250,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------------------
 
 
-def _generator_rank(gens) -> int:
-    variables = sorted(
-        {
-            (t, exps)
-            for g in gens
-            for t, comp in enumerate(g.components)
-            for exps in comp.terms
-        }
-    )
-    equations = []
-    for g in gens:
-        row = {}
-        for t, comp in enumerate(g.components):
-            for exps, coeff in comp.terms.items():
-                row[(t, exps)] = coeff
-        equations.append(row)
-    return system_rank(variables, equations)
-
-
 def _check_j0(a: IntMatrix) -> dict:
     form = standard_form(a)
     if form.l < 1:
@@ -284,7 +265,7 @@ def _check_j0(a: IntMatrix) -> dict:
 def _check_generators(a: IntMatrix) -> dict:
     gens = standard_field_generators(a)
     invariant = sum(1 for g in gens if pushforward_invariance(a, g))
-    independent = _generator_rank(gens) if gens else 0
+    independent = generator_rank(gens)
     expected = hol_vf_dimension(a)
     ok = invariant == len(gens) and independent == len(gens)
     if expected.kind == "exact":

@@ -2,11 +2,13 @@
 stable-set membership, and certified Perron data.
 
 The germ of an integer matrix ``A`` sends ``z`` to the point whose ``s``-th
-coordinate is the product of ``z_t`` raised to the row-``s`` exponents.  All
-set membership tests here (balls, stable set, fundamental domain) are decided
-in exact rational arithmetic; the only floating-point code is the power
-iteration behind :func:`perron_data`, whose result is certified by an exact
-rational enclosure of the Perron root.
+coordinate is the product of ``z_t`` raised to the row-``s`` exponents, so
+the squared moduli ``r_t = |z_t|**2`` map by ``r_s <- prod_t r_t**a_st``.
+All set membership tests here (balls, stable set, fundamental domain) depend
+on the squared moduli alone and are decided on them in exact integer
+arithmetic; the only floating-point code is the power iteration behind
+:func:`perron_data`, whose result is certified by an exact rational
+enclosure of the Perron root.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from functools import lru_cache
 from random import Random
 from typing import Literal, Optional
 
-from .gaussrat import GaussianRational, Point, sq_norm, sq_norm_12
+from ._limits import guard_int
+from .gaussrat import GaussianRational, Point
 from .intmat import IntMatrix, characteristic_polynomial
-from .words import NotKato, Recognized, factorize, is_kato, positivity_power, recognize, type_of
+from .words import NotKato, Recognized, _positive_power, factorize, is_kato, recognize, type_of
 
 # -- exact evaluation -----------------------------------------------------------
 
@@ -66,9 +69,59 @@ def _require_star_domain(z: Point, l: int) -> None:
         raise ValueError(f"the last {len(z) - l} coordinates must be nonzero")
 
 
-def _in_ball_star(z: Point, l: int) -> bool:
-    """Exact test for the open unit ball with nonzero trailing coordinates."""
-    return all(bool(c) for c in z[l:]) and sq_norm(z) < 1
+# A squared modulus is a pair ``(num, den)`` of integers, ``den > 0``.
+Moduli = list[tuple[int, int]]
+
+
+def _moduli(z: Point) -> Moduli:
+    return [(r.numerator, r.denominator) for r in map(GaussianRational.abs2, z)]
+
+
+def _moduli_image(rows, moduli: Moduli) -> Moduli:
+    """Squared moduli of the germ's image: ``|F(z)_s|**2 = prod_t r_t**a_st``.
+
+    ``rows`` are the exponent rows of ``a`` or of its inverse.  As in
+    :func:`eval_map`, zero exponents never touch their modulus and a zero
+    modulus under a negative exponent raises ``ZeroDivisionError``.  Each
+    image modulus is reduced to lowest terms and guarded once.
+    """
+    out = []
+    for row in rows:
+        num = den = 1
+        for e, (p, q) in zip(row, moduli):
+            if e > 0:
+                num *= p**e
+                den *= q**e
+            elif e < 0:
+                if not p:
+                    raise ZeroDivisionError("zero coordinate raised to a negative power")
+                num *= q**-e
+                den *= p**-e
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        guard_int(max(num, den), "squared modulus")
+        out.append((num, den))
+    return out
+
+
+def _norm_sq(moduli: Moduli, last_weight: int = 1) -> tuple[int, int]:
+    """Squared norm ``num/den`` (unreduced), the last modulus weighted."""
+    num, den = 0, 1
+    for p, q in moduli[:-1]:
+        num, den = num * q + p * den, den * q
+    p, q = moduli[-1]
+    return num * q + last_weight * p * den, den * q
+
+
+def _in_ball(moduli: Moduli) -> bool:
+    """Exact test for the open unit ball.
+
+    On the starred domain that the callers check, the germ and its inverse
+    keep the trailing coordinates nonzero (their rows have zero exponents on
+    the leading ones), so this also decides the starred ball.
+    """
+    num, den = _norm_sq(moduli)
+    return num < den
 
 
 # -- contraction ------------------------------------------------------------------
@@ -113,33 +166,75 @@ def certify_ball12_contraction(a: IntMatrix, samples: int = 256, seed: int = 0) 
     """Exactly check ``samples`` closed-ball points of the weighted (1,2)-norm.
 
     Every Kato matrix maps the closed weighted ball strictly inside itself;
-    the certificate draws exact rational points with squared weighted norm
+    the certificate draws the exact rational points of
+    :func:`sample_ball_points` (``norm="one-two"``) with squared weighted norm
     <= 1 (half of them within ``2**-16`` of the boundary, where the margin is
-    thinnest) and verifies each image norm exactly.
+    thinnest) and verifies each image norm exactly, on squared moduli.
     """
     if not is_kato(a):
         raise NotKato("the weighted-ball certificate applies to Kato matrices")
-    pts = sample_ball_points(a.n, samples, seed, norm="one-two", closed=True)
-    worst = Fraction(0)
-    for z in pts:
-        s = sq_norm_12(eval_map(a, z))
-        worst = max(worst, s)
-        if s >= 1:
-            return ContractionReport(False, samples, z, s, worst)
-    return ContractionReport(True, samples, None, None, worst)
+    den = (_DENOMINATOR * _SCALE_GRID) ** 2
+    worst_num, worst_den = 0, 1
+    for parts, raw, t in _draw_ball(a.n, samples, seed, last_weight=2):
+        tt = t * t
+        num, d = _norm_sq(_moduli_image(a.rows, [(m * tt, den) for m in raw]), last_weight=2)
+        if num * worst_den > worst_num * d:
+            worst_num, worst_den = num, d
+        if num >= d:
+            z = _scaled_point(parts, t, _DENOMINATOR)
+            return ContractionReport(False, samples, z, Fraction(num, d), Fraction(worst_num, worst_den))
+    return ContractionReport(True, samples, None, None, Fraction(worst_num, worst_den))
 
 
 # -- samplers ----------------------------------------------------------------------
 
 _SCALE_GRID = 1 << 16
+_DENOMINATOR = 64
 
 
-def _scale_for(s: Fraction, target: Fraction) -> Fraction:
-    """Largest grid fraction ``t`` with ``t**2 * s <= target`` (exact)."""
-    k = _SCALE_GRID
-    t = Fraction(math.isqrt(target.numerator * s.denominator * k * k // (target.denominator * s.numerator)), k)
-    assert t * t * s <= target
-    return t
+def _draw_ball(
+    n: int,
+    count: int,
+    seed: int,
+    last_weight: int,
+    closed: bool = True,
+    boundary_share: float = 0.5,
+    denominator: int = _DENOMINATOR,
+):
+    """Yield ``(parts, raw_moduli, t)`` for each point of :func:`sample_ball_points`.
+
+    The point is ``t / _SCALE_GRID`` times the raw point whose coordinates
+    are ``(x + y*i) / denominator`` for the integer ``parts`` ``(x, y)``;
+    ``raw_moduli`` are the integers ``x**2 + y**2``.  The grid scale ``t`` is
+    the largest integer that keeps the squared norm (last coordinate weighted
+    by ``last_weight``) at or below its target.
+    """
+    rng = Random(seed)
+    near_cut = int(count * boundary_share)
+    d2, k2 = denominator * denominator, _SCALE_GRID * _SCALE_GRID
+    for idx in range(count):
+        parts = [
+            (rng.randint(-denominator, denominator), rng.randint(-denominator, denominator)) for _ in range(n)
+        ]
+        raw = [x * x + y * y for x, y in parts]
+        s = sum(raw) + (last_weight - 1) * sum(raw[-1:])  # the raw squared norm is s / d2
+        if not s:
+            yield parts, raw, 0
+            continue
+        if idx < near_cut:
+            target_num, target_den = 1, 1
+        else:
+            target_num, target_den = rng.randint(1, d2), d2
+        t = math.isqrt(target_num * d2 * k2 // (target_den * s))
+        assert t * t * s * target_den <= target_num * d2 * k2
+        if not closed and t * t * s == d2 * k2:
+            t = max(t - 1, 0)
+        yield parts, raw, t
+
+
+def _scaled_point(parts, t: int, denominator: int) -> Point:
+    den = denominator * _SCALE_GRID
+    return tuple(GaussianRational(Fraction(x * t, den), Fraction(y * t, den)) for x, y in parts)
 
 
 def sample_ball_points(
@@ -149,7 +244,7 @@ def sample_ball_points(
     norm: Literal["euclidean", "one-two"] = "euclidean",
     closed: bool = True,
     boundary_share: float = 0.5,
-    denominator: int = 64,
+    denominator: int = _DENOMINATOR,
 ) -> list[Point]:
     """Deterministic exact rational points of the (closed) unit ball.
 
@@ -160,35 +255,13 @@ def sample_ball_points(
     boundary.
     """
     if norm == "euclidean":
-        norm_sq = sq_norm
+        last_weight = 1
     elif norm == "one-two":
-        norm_sq = sq_norm_12
+        last_weight = 2
     else:
         raise ValueError(f'norm must be "euclidean" or "one-two", got {norm!r}')
-    rng = Random(seed)
-    pts: list[Point] = []
-    near_cut = int(count * boundary_share)
-    for idx in range(count):
-        raw = tuple(
-            GaussianRational(
-                Fraction(rng.randint(-denominator, denominator), denominator),
-                Fraction(rng.randint(-denominator, denominator), denominator),
-            )
-            for _ in range(n)
-        )
-        s = norm_sq(raw)
-        if not s:
-            pts.append(raw)
-            continue
-        if idx < near_cut:
-            target = Fraction(1)
-        else:
-            target = Fraction(rng.randint(1, denominator * denominator), denominator * denominator)
-        t = _scale_for(s, target)
-        if not closed and t * t * s == 1:
-            t = max(t - Fraction(1, _SCALE_GRID), Fraction(0))
-        pts.append(tuple(c * t for c in raw))
-    return pts
+    draws = _draw_ball(n, count, seed, last_weight, closed, boundary_share, denominator)
+    return [_scaled_point(parts, t, denominator) for parts, _, t in draws]
 
 
 def sample_torus_points(
@@ -306,9 +379,7 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
         raise ValueError("tolerance must be positive")
     rec = recognize(a)  # validates Kato
     b = rec.form.b
-    p = positivity_power(rec)
-    bp = b if p == 1 else b**p
-    assert bp.is_positive()
+    p, bp = _positive_power(rec)
 
     v = [1.0] * b.n
     its, narrowest, stalls = 0, math.inf, 0
@@ -388,18 +459,19 @@ def stable_membership(a: IntMatrix, z: Point, max_iter: int = DEFAULT_MAX_ITER) 
 
     The stable set is the union of all backward images of the starred open
     unit ball, so reaching it at some iterate certifies membership; running
-    past ``max_iter`` yields ``undetermined`` (never a negative claim).
+    past ``max_iter`` yields ``undetermined`` (never a negative claim).  The
+    scan iterates the squared moduli of the orbit, not its points.
     """
     l = type_of(a)
     if len(z) != a.n:
         raise ValueError(f"point has {len(z)} coordinates, matrix needs {a.n}")
     _require_star_domain(z, l)
-    cur = z
+    moduli = _moduli(z)
     for m in range(max_iter + 1):
-        if _in_ball_star(cur, l):
+        if _in_ball(moduli):
             return MembershipResult("in", m)
         if m < max_iter:
-            cur = eval_map(a, cur)
+            moduli = _moduli_image(a.rows, moduli)
     return MembershipResult("undetermined", None)
 
 
@@ -413,9 +485,10 @@ def fundamental_domain_membership(a: IntMatrix, z: Point) -> bool:
     if len(z) != a.n:
         raise ValueError(f"point has {len(z)} coordinates, matrix needs {a.n}")
     _require_star_domain(z, l)
-    if not _in_ball_star(z, l):
+    moduli = _moduli(z)
+    if not _in_ball(moduli):
         return False
-    return not _in_ball_star(eval_map(a.inverse_unimodular(), z), l)
+    return not _in_ball(_moduli_image(a.inverse_unimodular().rows, moduli))
 
 
 # -- spectrum vs roots of unity ---------------------------------------------------------

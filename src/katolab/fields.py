@@ -24,7 +24,7 @@ from .dynamics import root_of_unity_check
 from .intmat import IntMatrix, left_kernel_lattice, vec_mat
 from .invariants import multiplicity_one
 from .laurent import SparseLaurentPoly, iter_monomials
-from .linsys import system_nullity
+from .linsys import system_nullity, system_rank
 from .words import standard_form
 
 
@@ -142,6 +142,15 @@ def standard_field_generators(a: IntMatrix) -> tuple[MonomialVectorField, ...]:
     return tuple(gens)
 
 
+def generator_rank(gens: Sequence[MonomialVectorField]) -> int:
+    """Rank of the fields' coefficient vectors, one coordinate per (slot, monomial)."""
+    variables = sorted({(t, e) for g in gens for t, comp in enumerate(g.components) for e in comp.terms})
+    equations = [
+        {(t, e): c for t, comp in enumerate(g.components) for e, c in comp.terms.items()} for g in gens
+    ]
+    return system_rank(variables, equations)
+
+
 # -- truncated coefficient systems ------------------------------------------------
 
 
@@ -174,9 +183,9 @@ def tangent_field_nullity(a: IntMatrix, degree: int) -> int:
             eq: dict = {}
             for j in range(n):
                 if a.rows[s][j]:
-                    eq[(j, e)] = Fraction(a.rows[s][j])
+                    eq[(j, e)] = a.rows[s][j]
             if inside:
-                eq[(s, pre)] = eq.get((s, pre), Fraction(0)) - 1
+                eq[(s, pre)] = eq.get((s, pre), 0) - 1
             equations.append(eq)
     return system_nullity(variables, equations)
 
@@ -216,7 +225,7 @@ def one_form_nullity(a: IntMatrix, degree: int) -> int:
 
     def add(key: tuple, var: tuple, coeff: int) -> None:
         eq = equations.setdefault(key, {})
-        eq[var] = eq.get(var, Fraction(0)) + coeff
+        eq[var] = eq.get(var, 0) + coeff
 
     for zi, wj in window:
         zsum = sum(zi)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -162,9 +163,22 @@ def parse_complex(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
-def format_complex(z: GaussianRational) -> str:
+def _complex_text(z: GaussianRational) -> str:
     sign = "+" if z.im >= 0 else "-"
     return f"{z.re}{sign}{abs(z.im)}i"
+
+
+def format_complex(z: GaussianRational) -> str:
+    """``a+bi`` text; every part under the digit cap prints, however long."""
+    try:
+        return _complex_text(z)
+    except ValueError:  # a part past Python's int-to-str conversion limit
+        str_digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(max(digit_cap() + 1, sys.int_info.str_digits_check_threshold))
+        try:
+            return _complex_text(z)
+        finally:
+            sys.set_int_max_str_digits(str_digits)
 
 
 def parse_point(text: str) -> Point:

@@ -287,7 +287,12 @@ def positivity_power(a: IntMatrix | Recognized) -> int:
     Bounded by the block dimension ``n - l`` for Kato matrices; exceeding the
     bound indicates an internal bug.
     """
-    b = recognize(a).form.b
+    return _positive_power(recognize(a))[0]
+
+
+def _positive_power(rec: Recognized) -> tuple[int, IntMatrix]:
+    """``(p, B**p)`` for the least ``p`` of :func:`positivity_power`."""
+    b = rec.form.b
     power = b
     p = 1
     while not power.is_positive():
@@ -295,7 +300,7 @@ def positivity_power(a: IntMatrix | Recognized) -> int:
             raise RuntimeError("internal: positivity bound exceeded")
         power = power * b
         p += 1
-    return p
+    return p, power
 
 
 def erase_index(a: IntMatrix, j: int) -> IntMatrix:

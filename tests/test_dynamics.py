@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import katolab.dynamics
 from katolab import (
     DEFAULT_MAX_ITER,
+    ContractionReport,
     FactorSeq,
     IntMatrix,
     NotKato,
+    ResourceLimitError,
     certify_ball12_contraction,
     compose_factors,
     contracts_unit_ball,
@@ -23,6 +28,7 @@ from katolab import (
     sq_norm,
     sq_norm_12,
     stable_membership,
+    type_of,
     unit_point,
 )
 from katolab.gaussrat import GaussianRational, as_point
@@ -299,6 +305,181 @@ def test_fundamental_domain():
     assert fundamental_domain_membership(B25, back)
     with pytest.raises(ValueError):
         fundamental_domain_membership(B25, as_point([1, 0]))
+
+
+def test_membership_scan_stops_at_the_digit_cap(monkeypatch):
+    # the squared moduli of an escaping orbit pass 40 digits within a few steps
+    monkeypatch.setenv("KATOLAB_DIGIT_CAP", "40")
+    with pytest.raises(ResourceLimitError, match="40 decimal digits"):
+        stable_membership(B25, as_point([2, 3]), max_iter=64)
+
+
+# -- agreement with the Gaussian-point predicates ---------------------------------------
+#
+# The predicates decide on squared moduli; these references decide on the
+# Gaussian points themselves, as the predicates' definitions read.
+
+
+def reference_ball_points(n, count, seed, norm="euclidean", closed=True, boundary_share=0.5, denominator=64):
+    rng = random.Random(seed)
+    norm_sq = sq_norm if norm == "euclidean" else sq_norm_12
+    pts = []
+    for idx in range(count):
+        raw = tuple(
+            GaussianRational(
+                Fraction(rng.randint(-denominator, denominator), denominator),
+                Fraction(rng.randint(-denominator, denominator), denominator),
+            )
+            for _ in range(n)
+        )
+        s = norm_sq(raw)
+        if not s:
+            pts.append(raw)
+            continue
+        if idx < int(count * boundary_share):
+            target = Fraction(1)
+        else:
+            target = Fraction(rng.randint(1, denominator**2), denominator**2)
+        t = Fraction(math.isqrt(math.floor(target / s * 2**32)), 2**16)
+        if not closed and t * t * s == 1:
+            t = max(t - Fraction(1, 2**16), Fraction(0))
+        pts.append(tuple(c * t for c in raw))
+    return pts
+
+
+def reference_certify(a, samples, seed, image=eval_map):
+    worst = Fraction(0)
+    for z in reference_ball_points(a.n, samples, seed, norm="one-two"):
+        s = sq_norm_12(image(a, z))
+        worst = max(worst, s)
+        if s >= 1:
+            return ContractionReport(False, samples, z, s, worst)
+    return ContractionReport(True, samples, None, None, worst)
+
+
+def reference_in_ball_star(z, l):
+    return all(z[l:]) and sq_norm(z) < 1
+
+
+def reference_membership(a, z, max_iter):
+    l = type_of(a)
+    for m in range(max_iter + 1):
+        if reference_in_ball_star(z, l):
+            return "in", m
+        if m < max_iter:
+            z = eval_map(a, z)
+    return "undetermined", None
+
+
+def reference_domain(a, z):
+    l = type_of(a)
+    return reference_in_ball_star(z, l) and not reference_in_ball_star(eval_map(a.inverse_unimodular(), z), l)
+
+
+@st.composite
+def kato_words(draw):
+    n = draw(st.integers(2, 4))
+    indices = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    seq = FactorSeq(n, tuple(indices))
+    assume(seq.is_kato_word)
+    return seq
+
+
+def gaussian(nonzero):
+    parts = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    pairs = st.tuples(parts, parts).map(lambda p: GaussianRational(*p))
+    return pairs.filter(bool) if nonzero else st.one_of(st.just(GaussianRational(0)), pairs)
+
+
+UNIT_POINTS = {
+    2: [Fraction(3, 5), Fraction(4, 5)],
+    3: [Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)],
+    4: [Fraction(1, 2)] * 4,
+}
+
+
+@st.composite
+def word_and_point(draw):
+    """A Kato word and a point of its starred domain (leading coordinates may vanish),
+    pulled back 0-2 times."""
+    seq = draw(kato_words())
+    l = min(seq.indices) - 1
+    if draw(st.booleans()):
+        z = tuple(draw(gaussian(nonzero=t >= l)) for t in range(seq.n))
+    else:  # on the unit sphere, where the open ball ends
+        z = as_point(UNIT_POINTS[seq.n])
+    a = compose_factors(seq)
+    for _ in range(draw(st.integers(0, 2))):
+        z = eval_inverse(a, z)
+    return a, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(kato_words(), st.integers(1, 24), st.integers(0, 2**30))
+def test_certify_agrees_with_gaussian_reference(seq, samples, seed):
+    a = compose_factors(seq)
+    assert certify_ball12_contraction(a, samples, seed) == reference_certify(a, samples, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 12),
+    st.integers(0, 2**30),
+    st.sampled_from(["euclidean", "one-two"]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(1, 64),
+)
+def test_sample_ball_points_agree_with_gaussian_reference(n, count, seed, norm, closed, share, denominator):
+    args = (n, count, seed, norm, closed, share, denominator)
+    assert sample_ball_points(*args) == reference_ball_points(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_and_point(), st.integers(0, 4))
+def test_membership_and_domain_agree_with_gaussian_reference(case, max_iter):
+    a, z = case
+    res = stable_membership(a, z, max_iter=max_iter)
+    assert (res.status, res.iterations) == reference_membership(a, z, max_iter)
+    assert fundamental_domain_membership(a, z) == reference_domain(a, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kato_words(), st.data())
+def test_moduli_kernel_agrees_with_eval_map(seq, data):
+    a = compose_factors(seq)
+    z = tuple(data.draw(gaussian(nonzero=False)) for _ in range(seq.n))
+    moduli = [(c.abs2().numerator, c.abs2().denominator) for c in z]
+    for m in (a, a.inverse_unimodular()):
+        try:
+            want = [Fraction(c.abs2()) for c in eval_map(m, z)]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                katolab.dynamics._moduli_image(m.rows, moduli)
+            continue
+        got = katolab.dynamics._moduli_image(m.rows, moduli)
+        assert all(math.gcd(p, q) == 1 and q > 0 for p, q in got)
+        assert [Fraction(p, q) for p, q in got] == want
+
+
+def test_certify_failure_reports_the_first_counterexample(monkeypatch):
+    # Kato matrices never fail the certificate; a doubled image makes the
+    # failure branch reachable and must report what the reference reports.
+    kernel = katolab.dynamics._moduli_image
+    monkeypatch.setattr(
+        katolab.dynamics, "_moduli_image", lambda rows, moduli: [(4 * p, q) for p, q in kernel(rows, moduli)]
+    )
+
+    def doubled(a, z):
+        return tuple(c * 2 for c in eval_map(a, z))
+
+    for seq in (FactorSeq(2, (1, 2)), FactorSeq(3, (2, 3, 3))):
+        a = compose_factors(seq)
+        got = certify_ball12_contraction(a, 32, seed=3)
+        want = reference_certify(a, 32, 3, image=doubled)
+        assert not got.passed and got.counterexample is not None
+        assert got == want
 
 
 # -- root of unity -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from katolab import (
     GaussianRational,
     IntMatrix,
     ResourceLimitError,
+    eval_map,
     format_complex,
     format_matrix_json,
     format_matrix_text,
@@ -193,3 +195,21 @@ def test_point_parsers_apply_the_digit_cap(monkeypatch):
             parse_point(text)
         with pytest.raises(ResourceLimitError, match=ENV_VAR):
             parse_orbit(json.dumps({"orbit": [[text]]}))
+
+
+def test_points_past_the_conversion_limit_format_and_parse_back():
+    # six steps of the germ of (1,2;2,5) from (1/2, 1/3) leave parts of more
+    # than 4300 digits, Python's default int-to-str limit
+    a = IntMatrix([[1, 2], [2, 5]])
+    z = parse_point("1/2+0i;1/3+0i")
+    for _ in range(6):
+        z = eval_map(a, z)
+    limit = sys.get_int_max_str_digits()
+    text = format_point(z)
+    assert sys.get_int_max_str_digits() == limit
+    assert max(map(len, text.split("/"))) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_point(text) == z
+    finally:
+        sys.set_int_max_str_digits(limit)
