@@ -41,12 +41,8 @@ LAYERS = (
     "limits.guard_int.calls",
     "dynamics.perron_data.failed",
     "dynamics.perron_data.self_ms",
-    "dynamics.certify_ball12_contraction.self_ms",
-    "dynamics.stable_membership.self_ms",
-    "linsys.system_rank.self_ms",
-    "gaussrat.GaussianRational.__mul__.calls",
-    "limits.guard_int.raised",
     "cli.import_katolab_ms",
+    "cli.import_numpy_ms",
 )
 
 

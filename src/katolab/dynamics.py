@@ -21,7 +21,7 @@ from functools import lru_cache
 from random import Random
 from typing import Literal, Optional
 
-from ._limits import guard_int
+from ._limits import bit_cap, guard_int, limit_error
 from .gaussrat import GaussianRational, Point
 from .intmat import IntMatrix, characteristic_polynomial
 from .words import NotKato, Recognized, _positive_power, factorize, is_kato, recognize, type_of
@@ -69,12 +69,17 @@ def _require_star_domain(z: Point, l: int) -> None:
         raise ValueError(f"the last {len(z) - l} coordinates must be nonzero")
 
 
-# A squared modulus is a pair ``(num, den)`` of integers, ``den > 0``.
+# A squared modulus is a pair ``(num, den)`` of coprime integers, ``den > 0``.
 Moduli = list[tuple[int, int]]
 
 
 def _moduli(z: Point) -> Moduli:
     return [(r.numerator, r.denominator) for r in map(GaussianRational.abs2, z)]
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _moduli_image(rows, moduli: Moduli) -> Moduli:
@@ -83,22 +88,31 @@ def _moduli_image(rows, moduli: Moduli) -> Moduli:
     ``rows`` are the exponent rows of ``a`` or of its inverse.  As in
     :func:`eval_map`, zero exponents never touch their modulus and a zero
     modulus under a negative exponent raises ``ZeroDivisionError``.  Each
-    image modulus is reduced to lowest terms and guarded once.
+    image modulus is reduced to lowest terms and guarded once.  Before each
+    power is built, the bits it would add to the row's unreduced numerator
+    and denominator are counted: past twice the digit cap (a squared modulus
+    has about twice the bits of its coordinate's parts) the row stops, so a
+    large exponent never builds a huge power or a slow gcd.
     """
+    budget = 2 * bit_cap()
     out = []
     for row in rows:
         num = den = 1
+        num_bits = den_bits = 0
         for e, (p, q) in zip(row, moduli):
-            if e > 0:
-                num *= p**e
-                den *= q**e
-            elif e < 0:
+            if e == 0:
+                continue
+            if e < 0:
                 if not p:
                     raise ZeroDivisionError("zero coordinate raised to a negative power")
-                num *= q**-e
-                den *= p**-e
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+                p, q, e = q, p, -e
+            num_bits += e * p.bit_length()
+            den_bits += e * q.bit_length()
+            if max(num_bits, den_bits) > budget:
+                raise limit_error("squared modulus")
+            num *= p**e
+            den *= q**e
+        num, den = _lowest(num, den)
         guard_int(max(num, den), "squared modulus")
         out.append((num, den))
     return out
@@ -177,7 +191,7 @@ def certify_ball12_contraction(a: IntMatrix, samples: int = 256, seed: int = 0) 
     worst_num, worst_den = 0, 1
     for parts, raw, t in _draw_ball(a.n, samples, seed, last_weight=2):
         tt = t * t
-        num, d = _norm_sq(_moduli_image(a.rows, [(m * tt, den) for m in raw]), last_weight=2)
+        num, d = _norm_sq(_moduli_image(a.rows, [_lowest(m * tt, den) for m in raw]), last_weight=2)
         if num * worst_den > worst_num * d:
             worst_num, worst_den = num, d
         if num >= d:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,23 @@ def test_membership_scan_stops_at_the_digit_cap(monkeypatch):
     monkeypatch.setenv("KATOLAB_DIGIT_CAP", "40")
     with pytest.raises(ResourceLimitError, match="40 decimal digits"):
         stable_membership(B25, as_point([2, 3]), max_iter=64)
+
+
+def test_large_exponents_stop_at_the_default_cap_before_any_power(monkeypatch):
+    # B25**8 has entries near 10**6, so an image modulus would carry millions
+    # of bits; the default cap refuses it before building a power or a gcd
+    monkeypatch.delenv("KATOLAB_DIGIT_CAP", raising=False)
+    big = B25**8
+    checks = [
+        lambda: certify_ball12_contraction(big, samples=4),
+        lambda: stable_membership(big, as_point([2, 3])),
+        lambda: fundamental_domain_membership(big, as_point([Fraction(1, 2), Fraction(1, 3)])),
+    ]
+    start = time.perf_counter()
+    for check in checks:
+        with pytest.raises(ResourceLimitError, match="100000 decimal digits"):
+            check()
+    assert time.perf_counter() - start < 5
 
 
 # -- agreement with the Gaussian-point predicates ---------------------------------------
