@@ -17,7 +17,7 @@ side and workload (on the first seed) adds the per-layer counts in
 Writes ``BENCH_<label>.json`` at the root of the repository: per workload and
 end-to-end metric each side's median and quartiles, how many pairs the change
 won, the change's median over the parent's, every pair's raw values and the
-traced layer metrics.
+traced layer metrics, also per op.
 """
 
 from __future__ import annotations
@@ -41,9 +41,21 @@ LAYERS = (
     "limits.guard_int.calls",
     "dynamics.perron_data.failed",
     "dynamics.perron_data.self_ms",
+    "dynamics.certify_ball12_contraction.calls",
+    "dynamics.certify_ball12_contraction.self_ms",
+    "dynamics.stable_membership.self_ms",
+    "linsys.system_rank.self_ms",
+    "gaussrat.GaussianRational.__mul__.calls",
+    "limits.guard_int.raised",
     "cli.import_katolab_ms",
-    "cli.import_numpy_ms",
 )
+# The traced half runs for a fixed time, so a faster program runs more ops
+# there and its totals rise; each workload's op count is the call count of a
+# function its ops call exactly once.
+OPS_LAYER = {
+    "batch-report": "invariants.build_report.calls",
+    "orbit-series": "dynamics.certify_ball12_contraction.calls",
+}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -80,6 +92,15 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{workload} seed {seed} in {checkout}: {result['failed']} failed ops or a wrong answer")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def per_op(layers: dict, ops: float) -> dict:
+    """The ``.calls`` and ``.self_ms`` totals of the traced half divided by its ops.
+
+    ``.raised`` and ``.failed`` also count the fixed known-failure probe, so
+    they are left as totals.
+    """
+    return {name: value / ops for name, value in layers.items() if name.endswith((".calls", ".self_ms"))}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -145,13 +166,15 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {pair[side]['ops_per_s']:.2f} ops/s" for side in SIDES
                 ), file=sys.stderr)
-            traced = {}
+            traced, traced_per_op = {}, {}
             for side in SIDES:
                 layers = run_bench(checkouts[side], workload, args.seeds[0], seconds, trace=1)
                 traced[side] = {name: layers[name] for name in LAYERS}
+                traced_per_op[side] = per_op(traced[side], traced[side][OPS_LAYER[workload]])
             report["workloads"][workload] = {
                 "summary": summarize(pairs, bench["end_to_end"]),
                 "traced": traced,
+                "traced_per_op": traced_per_op,
                 "pairs": pairs,
             }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -36,15 +36,8 @@ from .fields import (
     tangent_field_nullity,
 )
 from .gaussrat import Point
-from .intmat import IntMatrix
-from .invariants import (
-    InvariantReport,
-    build_report,
-    hol_vf_dimension,
-    multiplicity_one,
-    verify_J0_relation,
-)
-from .words import KatoRecognitionError, compose_factors, factorize, standard_form, type_of
+from .invariants import InvariantReport, build_report, hol_vf_dimension, verify_J0_relation
+from .words import KatoRecognitionError, Recognized, compose_factors, factorize, recognize
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -250,23 +243,22 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------------------
 
 
-def _check_j0(a: IntMatrix) -> dict:
-    form = standard_form(a)
-    if form.l < 1:
+def _check_j0(rec: Recognized, degree: int) -> dict:
+    if rec.l < 1:
         return {
             "check": "j0",
             "status": "skipped",
             "reason": "type-0 matrix has no off-diagonal line",
         }
-    ok = verify_J0_relation(form)
-    return {"check": "j0", "status": "pass" if ok else "fail", "l": form.l}
+    ok = verify_J0_relation(rec.form)
+    return {"check": "j0", "status": "pass" if ok else "fail", "l": rec.l}
 
 
-def _check_generators(a: IntMatrix) -> dict:
-    gens = standard_field_generators(a)
-    invariant = sum(1 for g in gens if pushforward_invariance(a, g))
+def _check_generators(rec: Recognized, degree: int) -> dict:
+    gens = standard_field_generators(rec)
+    invariant = sum(1 for g in gens if pushforward_invariance(rec.matrix, g))
     independent = generator_rank(gens)
-    expected = hol_vf_dimension(a)
+    expected = hol_vf_dimension(rec)
     ok = invariant == len(gens) and independent == len(gens)
     if expected.kind == "exact":
         ok = ok and len(gens) == expected.value
@@ -282,33 +274,31 @@ def _check_generators(a: IntMatrix) -> dict:
     }
 
 
-def _check_tangent(a: IntMatrix, degree: int) -> dict:
-    if type_of(a) != 0 or not a.is_positive():
+def _check_tangent(rec: Recognized, degree: int) -> dict:
+    if rec.l != 0 or not rec.matrix.is_positive():
         return {
             "check": "tangent-nullity",
             "status": "skipped",
             "reason": "needs a positive type-0 matrix; apply to a positive power",
         }
-    nullity = tangent_field_nullity(a, degree)
-    m1 = multiplicity_one(a)
+    nullity = tangent_field_nullity(rec.matrix, degree)
     return {
         "check": "tangent-nullity",
-        "status": "pass" if nullity == m1 else "fail",
+        "status": "pass" if nullity == rec.m1 else "fail",
         "degree": degree,
         "nullity": nullity,
-        "expected": m1,
+        "expected": rec.m1,
     }
 
 
-def _check_oneform(a: IntMatrix, degree: int) -> dict:
-    form = standard_form(a)
-    if not form.b.is_positive():
+def _check_oneform(rec: Recognized, degree: int) -> dict:
+    if not rec.form.b.is_positive():
         return {
             "check": "oneform-nullity",
             "status": "skipped",
             "reason": "needs an l-positive matrix; apply to a positive power",
         }
-    nullity = one_form_nullity(a, degree)
+    nullity = one_form_nullity(rec, degree)
     return {
         "check": "oneform-nullity",
         "status": "pass" if nullity == 0 else "fail",
@@ -318,23 +308,20 @@ def _check_oneform(a: IntMatrix, degree: int) -> dict:
     }
 
 
-_CHECKS = ("j0", "generators", "tangent-nullity", "oneform-nullity")
+_CHECKS = {
+    "j0": _check_j0,
+    "generators": _check_generators,
+    "tangent-nullity": _check_tangent,
+    "oneform-nullity": _check_oneform,
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    a = formats.parse_matrix(_read_source(args))
-    factorize(a)  # raises for non-products before any check runs
+    if args.degree < 0:
+        raise ValueError("--degree must be >= 0")
+    rec = recognize(formats.parse_matrix(_read_source(args)))
     wanted = _CHECKS if args.check == "all" else (args.check,)
-    records = []
-    for name in wanted:
-        if name == "j0":
-            records.append(_check_j0(a))
-        elif name == "generators":
-            records.append(_check_generators(a))
-        elif name == "tangent-nullity":
-            records.append(_check_tangent(a, args.degree))
-        else:
-            records.append(_check_oneform(a, args.degree))
+    records = [_CHECKS[name](rec, args.degree) for name in wanted]
     passed = all(r["status"] != "fail" for r in records)
     lines = []
     for r in records:
@@ -411,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=6, help="truncation degree (default 6)")
     p.add_argument(
         "--check",
-        choices=_CHECKS + ("all",),
+        choices=(*_CHECKS, "all"),
         default="all",
         help="which check to run (default all)",
     )

@@ -24,7 +24,7 @@ from typing import Literal, Optional
 from ._limits import bit_cap, guard_int, limit_error
 from .gaussrat import GaussianRational, Point
 from .intmat import IntMatrix, characteristic_polynomial
-from .words import NotKato, Recognized, _positive_power, factorize, is_kato, recognize, type_of
+from .words import Recognized, factorize, recognize
 
 # -- exact evaluation -----------------------------------------------------------
 
@@ -53,15 +53,15 @@ def eval_map(a: IntMatrix, z: Point) -> Point:
     return tuple(out)
 
 
-def eval_inverse(a: IntMatrix, z: Point) -> Point:
+def eval_inverse(a: IntMatrix | Recognized, z: Point) -> Point:
     """Evaluate the inverse germ at ``z``; exact two-sided inverse of eval_map.
 
     Defined on points whose last ``n - l`` coordinates are nonzero (``l`` the
     type of ``a``); the leading coordinates may vanish.
     """
-    l = type_of(a)  # also validates that `a` is Kato
-    _require_star_domain(z, l)
-    return eval_map(a.inverse_unimodular(), z)
+    rec = recognize(a)
+    _require_star_domain(z, rec.l)
+    return eval_map(rec.inverse, z)
 
 
 def _require_star_domain(z: Point, l: int) -> None:
@@ -73,7 +73,9 @@ def _require_star_domain(z: Point, l: int) -> None:
 Moduli = list[tuple[int, int]]
 
 
-def _moduli(z: Point) -> Moduli:
+def _moduli(z: Point, n: int) -> Moduli:
+    if len(z) != n:
+        raise ValueError(f"point has {len(z)} coordinates, matrix needs {n}")
     return [(r.numerator, r.denominator) for r in map(GaussianRational.abs2, z)]
 
 
@@ -176,7 +178,9 @@ class ContractionReport:
         return out
 
 
-def certify_ball12_contraction(a: IntMatrix, samples: int = 256, seed: int = 0) -> ContractionReport:
+def certify_ball12_contraction(
+    a: IntMatrix | Recognized, samples: int = 256, seed: int = 0
+) -> ContractionReport:
     """Exactly check ``samples`` closed-ball points of the weighted (1,2)-norm.
 
     Every Kato matrix maps the closed weighted ball strictly inside itself;
@@ -185,13 +189,14 @@ def certify_ball12_contraction(a: IntMatrix, samples: int = 256, seed: int = 0) 
     <= 1 (half of them within ``2**-16`` of the boundary, where the margin is
     thinnest) and verifies each image norm exactly, on squared moduli.
     """
-    if not is_kato(a):
-        raise NotKato("the weighted-ball certificate applies to Kato matrices")
+    rec = recognize(a)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     den = (_DENOMINATOR * _SCALE_GRID) ** 2
     worst_num, worst_den = 0, 1
-    for parts, raw, t in _draw_ball(a.n, samples, seed, last_weight=2):
+    for parts, raw, t in _draw_ball(rec.matrix.n, samples, seed, last_weight=2):
         tt = t * t
-        num, d = _norm_sq(_moduli_image(a.rows, [_lowest(m * tt, den) for m in raw]), last_weight=2)
+        num, d = _norm_sq(_moduli_image(rec.matrix.rows, [_lowest(m * tt, den) for m in raw]), last_weight=2)
         if num * worst_den > worst_num * d:
             worst_num, worst_den = num, d
         if num >= d:
@@ -391,9 +396,9 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    rec = recognize(a)  # validates Kato
+    rec = recognize(a)
     b = rec.form.b
-    p, bp = _positive_power(rec)
+    p, bp = rec.positive_power
 
     v = [1.0] * b.n
     its, narrowest, stalls = 0, math.inf, 0
@@ -468,7 +473,9 @@ class MembershipResult:
 DEFAULT_MAX_ITER = 256
 
 
-def stable_membership(a: IntMatrix, z: Point, max_iter: int = DEFAULT_MAX_ITER) -> MembershipResult:
+def stable_membership(
+    a: IntMatrix | Recognized, z: Point, max_iter: int = DEFAULT_MAX_ITER
+) -> MembershipResult:
     """Scan the forward orbit for the first exact entry into the starred ball.
 
     The stable set is the union of all backward images of the starred open
@@ -476,33 +483,31 @@ def stable_membership(a: IntMatrix, z: Point, max_iter: int = DEFAULT_MAX_ITER) 
     past ``max_iter`` yields ``undetermined`` (never a negative claim).  The
     scan iterates the squared moduli of the orbit, not its points.
     """
-    l = type_of(a)
-    if len(z) != a.n:
-        raise ValueError(f"point has {len(z)} coordinates, matrix needs {a.n}")
-    _require_star_domain(z, l)
-    moduli = _moduli(z)
+    rec = recognize(a)
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+    moduli = _moduli(z, rec.matrix.n)
+    _require_star_domain(z, rec.l)
     for m in range(max_iter + 1):
         if _in_ball(moduli):
             return MembershipResult("in", m)
         if m < max_iter:
-            moduli = _moduli_image(a.rows, moduli)
+            moduli = _moduli_image(rec.matrix.rows, moduli)
     return MembershipResult("undetermined", None)
 
 
-def fundamental_domain_membership(a: IntMatrix, z: Point) -> bool:
+def fundamental_domain_membership(a: IntMatrix | Recognized, z: Point) -> bool:
     """Exact test for the shell between the starred ball and its image.
 
     True iff ``z`` lies in the starred open unit ball while its inverse image
     does not — i.e. ``z`` belongs to the ball minus the germ's image of it.
     """
-    l = type_of(a)
-    if len(z) != a.n:
-        raise ValueError(f"point has {len(z)} coordinates, matrix needs {a.n}")
-    _require_star_domain(z, l)
-    moduli = _moduli(z)
+    rec = recognize(a)
+    moduli = _moduli(z, rec.matrix.n)
+    _require_star_domain(z, rec.l)
     if not _in_ball(moduli):
         return False
-    return not _in_ball(_moduli_image(a.inverse_unimodular().rows, moduli))
+    return not _in_ball(_moduli_image(rec.inverse.rows, moduli))
 
 
 # -- spectrum vs roots of unity ---------------------------------------------------------

@@ -22,10 +22,9 @@ from typing import Optional, Sequence, Union
 
 from .dynamics import root_of_unity_check
 from .intmat import IntMatrix, left_kernel_lattice, vec_mat
-from .invariants import multiplicity_one
 from .laurent import SparseLaurentPoly, iter_monomials
 from .linsys import system_nullity, system_rank
-from .words import standard_form
+from .words import Recognized, recognize
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def pushforward_invariance(a: IntMatrix, field: MonomialVectorField) -> bool:
     return True
 
 
-def standard_field_generators(a: IntMatrix) -> tuple[MonomialVectorField, ...]:
+def standard_field_generators(a: IntMatrix | Recognized) -> tuple[MonomialVectorField, ...]:
     """The explicit invariant fields attached to the block structure.
 
     For type ``l``: the ``l*l`` coordinate fields ``z_s d/dz_t`` (s, t <= l),
@@ -115,7 +114,8 @@ def standard_field_generators(a: IntMatrix) -> tuple[MonomialVectorField, ...]:
     extra fields ``w_{n-1} w_n d/dz_j``.  The list is linearly independent
     and realizes the dimension bounds reported by the invariants module.
     """
-    form = standard_form(a)
+    rec = recognize(a)
+    form = rec.form
     n, l = form.n, form.l
     gens = [coordinate_field(n, s, t) for s in range(1, l + 1) for t in range(1, l + 1)]
 
@@ -123,8 +123,7 @@ def standard_field_generators(a: IntMatrix) -> tuple[MonomialVectorField, ...]:
     stacked_rows = (form.b - IntMatrix.identity(form.b.n)).to_rows()
     stacked_rows.extend(list(r) for r in form.g)
     kernel = left_kernel_lattice(IntMatrix(stacked_rows).transpose())
-    m1 = multiplicity_one(a)
-    if kernel.rank != m1 - l:
+    if kernel.rank != rec.m1 - l:
         raise RuntimeError("internal: diagonal-field count must be m1 - l")
     for v in kernel.rows:
         comps = [SparseLaurentPoly.zero(n) for _ in range(n)]
@@ -190,7 +189,7 @@ def tangent_field_nullity(a: IntMatrix, degree: int) -> int:
     return system_nullity(variables, equations)
 
 
-def one_form_nullity(a: IntMatrix, degree: int) -> int:
+def one_form_nullity(a: IntMatrix | Recognized, degree: int) -> int:
     """Nullity of the truncated one-form pullback system at ``degree``.
 
     Unknowns are the coefficients of candidate component functions
@@ -205,7 +204,7 @@ def one_form_nullity(a: IntMatrix, degree: int) -> int:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    form = standard_form(a)
+    form = recognize(a).form
     if not form.b.is_positive():
         raise ValueError("the one-form solver requires an l-positive matrix")
     n, l = form.n, form.l

@@ -95,6 +95,7 @@ def parse_seq(text: str) -> FactorSeq:
     text = text.strip()
     if not text:
         raise ValueError("empty sequence input")
+    _refuse_long_numbers(text, "sequence entry")
     if text.startswith("{"):
         data = json.loads(text)
         if not isinstance(data, dict) or set(data) != {"n", "indices"}:
@@ -106,15 +107,17 @@ def parse_seq(text: str) -> FactorSeq:
             isinstance(j, int) and not isinstance(j, bool) for j in indices
         ):
             raise ValueError('"indices" must be a list of integers')
-        return FactorSeq(n, tuple(indices))
-    m = _SEQ_RE.match(text)
-    if m is None:
-        raise ValueError(f"not a factor sequence (expected like n=3:[2,3]): {text!r}")
-    n = int(m.group(1))
-    inner = m.group(2).strip()
-    if not inner:
-        raise ValueError("a factor sequence needs at least one index")
-    return FactorSeq(n, tuple(int(p) for p in inner.split(",")))
+    else:
+        m = _SEQ_RE.match(text)
+        if m is None:
+            raise ValueError(f"not a factor sequence (expected like n=3:[2,3]): {text!r}")
+        n = int(m.group(1))
+        inner = m.group(2).strip()
+        if not inner:
+            raise ValueError("a factor sequence needs at least one index")
+        indices = [int(p) for p in inner.split(",")]
+    guard_int(max(map(abs, (n, *indices))), "sequence entry")
+    return FactorSeq(n, tuple(indices))
 
 
 def format_seq_text(seq: FactorSeq) -> str:

@@ -3,10 +3,10 @@
 Everything is assembled exactly from the factor word, the block structure,
 and integer lattice computations; the only float in the report is the Perron
 root, certified by an exact rational enclosure.  ``build_report`` recognizes
-the matrix once and computes ``m1``, the fixed lattice and the positivity
-power once each.  It also re-checks the proven consistency relations between
-the pieces and raises ``RuntimeError`` if any fails (an internal bug, not bad
-input).
+the matrix once and hands the ``Recognized`` value, which computes ``m1``, the
+fixed lattice and the positivity power once each, to every invariant.  It
+also re-checks the proven consistency relations between the pieces and raises
+``RuntimeError`` if any fails (an internal bug, not bad input).
 """
 
 from __future__ import annotations
@@ -60,19 +60,19 @@ def multiplicity_one(a: IntMatrix) -> int:
     return a.n - (a - IntMatrix.identity(a.n)).rank()
 
 
-def theta_lattice(a: IntMatrix, form: StandardForm) -> tuple[LatticeBasis, int]:
+def theta_lattice(a: IntMatrix | Recognized, form: Optional[StandardForm] = None) -> tuple[LatticeBasis, int]:
     """The explicit finite-index sublattice of the fixed lattice, with index.
 
     Generators: the sum-zero leading directions ``e_i - e_{i+1}``, one mixed
     generator ``((n-l-1) e_1, -J_0)`` realizing the parameter ``a = 1``, and
     the fixed vectors of the lower block.  Every generator is checked to be
     fixed by ``a``; the documented rank relation ``rank K_B = rank K_A - l``
-    is asserted.
+    is asserted.  ``form``, when given, must be the block form of ``a``.
     """
-    return _theta_lattice(a, form, left_fixed_lattice(a))
-
-
-def _theta_lattice(a: IntMatrix, form: StandardForm, ka: LatticeBasis) -> tuple[LatticeBasis, int]:
+    rec = recognize(a)
+    if form is not None and form != rec.form:
+        raise ValueError("form is not the block form of the matrix")
+    a, form, ka = rec.matrix, rec.form, rec.fixed_lattice
     n, l = form.n, form.l
     nl = n - l
     kb = left_fixed_lattice(form.b)
@@ -117,14 +117,14 @@ class InvariantMonomial:
     display: str
 
 
-def invariant_monomials(a: IntMatrix) -> list[InvariantMonomial]:
+def invariant_monomials(a: IntMatrix | Recognized) -> list[InvariantMonomial]:
     """Canonical basis of the fixed lattice rendered as Laurent monomials.
 
     Coordinate names follow the block split: ``z1..zl`` then ``w(l+1)..wn``.
     Each exponent vector satisfies ``I A == I`` exactly.
     """
-    l = recognize(a).l
-    ka = left_fixed_lattice(a)
+    rec = recognize(a)
+    a, l, ka = rec.matrix, rec.l, rec.fixed_lattice
     names = [f"z{i + 1}" if i < l else f"w{i + 1}" for i in range(a.n)]
     out = []
     for row in ka.rows:
@@ -177,35 +177,29 @@ class DimensionValue:
         return f"in [{self.bounds[0]}, {self.bounds[1]}]"
 
 
-def hol_vf_dimension(a: IntMatrix) -> DimensionValue:
+def hol_vf_dimension(a: IntMatrix | Recognized) -> DimensionValue:
     """Dimension of the global holomorphic vector fields: exact when known.
 
     Exact ``(n-1)(n-2)`` for ``l == n-2`` (for ``n == 2`` this agrees with
     the covering bound through the positive power); exact ``m1`` for positive
     type-0 matrices; otherwise the proven lower bound ``l^2 - l + m1``.
     """
-    return _hol_vf_dimension(recognize(a), multiplicity_one(a))
-
-
-def _hol_vf_dimension(rec: Recognized, m1: int) -> DimensionValue:
+    rec = recognize(a)
     n, l = rec.matrix.n, rec.l
     if l == n - 2:
         return DimensionValue.exact((n - 1) * (n - 2))
     if l == 0 and rec.matrix.is_positive():
-        return DimensionValue.exact(m1)
-    return DimensionValue.lower_bound(l * l - l + m1)
+        return DimensionValue.exact(rec.m1)
+    return DimensionValue.lower_bound(l * l - l + rec.m1)
 
 
-def alg_dim(a: IntMatrix) -> DimensionValue:
+def alg_dim(a: IntMatrix | Recognized) -> DimensionValue:
     """Algebraic dimension: exact ``n-2`` when ``l == n-2``, else bounds."""
-    return _alg_dim(recognize(a), multiplicity_one(a))
-
-
-def _alg_dim(rec: Recognized, m1: int) -> DimensionValue:
+    rec = recognize(a)
     n, l = rec.matrix.n, rec.l
     if l == n - 2:
         return DimensionValue.exact(n - 2)
-    return DimensionValue.between(max(m1, l), n - 1)
+    return DimensionValue.between(max(rec.m1, l), n - 1)
 
 
 # -- canonical bundle ---------------------------------------------------------------------
@@ -218,7 +212,7 @@ class CanonicalData:
     anticanonical_h0: Optional[int]
 
 
-def canonical_descriptor(a: IntMatrix) -> CanonicalData:
+def canonical_descriptor(a: IntMatrix | Recognized) -> CanonicalData:
     """Canonical bundle descriptor, Kodaira dimension, and (when defined)
     the anticanonical section count ``C(2n-3, n-2)``.
 
@@ -227,15 +221,12 @@ def canonical_descriptor(a: IntMatrix) -> CanonicalData:
     flat bundle ``L``.  The anticanonical count applies only for
     ``l == n-2`` with determinant +1.
     """
-    return _canonical_data(recognize(a), a.det())
-
-
-def _canonical_data(rec: Recognized, det: int) -> CanonicalData:
+    rec = recognize(a)
     n, l = rec.matrix.n, rec.l
     terms = "".join(f"-A_({j})" for j in range(1, l + 1)) + "-C"
     bundle = f"O({terms})"
-    descriptor = f"K = {bundle}" if det == 1 else f"K = L⊗{bundle}"
-    h0 = math.comb(2 * n - 3, n - 2) if (l == n - 2 and det == 1) else None
+    descriptor = f"K = {bundle}" if rec.det == 1 else f"K = L⊗{bundle}"
+    h0 = math.comb(2 * n - 3, n - 2) if (l == n - 2 and rec.det == 1) else None
     return CanonicalData(descriptor, "-infinity", h0)
 
 
@@ -315,7 +306,7 @@ class InvariantReport:
         return out
 
 
-def build_report(a: IntMatrix) -> InvariantReport:
+def build_report(a: IntMatrix | Recognized) -> InvariantReport:
     """Assemble every closed-form invariant of the manifold of ``a``.
 
     Raises recognition errors for non-Kato input and ``RuntimeError`` if any
@@ -323,7 +314,7 @@ def build_report(a: IntMatrix) -> InvariantReport:
     """
     rec = recognize(a)
     form = rec.form
-    n, l, k = a.n, form.l, rec.word.k
+    n, l, k = rec.matrix.n, rec.l, rec.word.k
     r = n - l
 
     betti = betti_numbers(n, k)
@@ -332,11 +323,10 @@ def build_report(a: IntMatrix) -> InvariantReport:
     if euler != k * (n - 1) or _alternating_sum(twisted) != euler:
         raise RuntimeError("internal: Euler characteristic consistency failed")
 
-    m1 = multiplicity_one(a)
-    ka = left_fixed_lattice(a)
+    m1, ka = rec.m1, rec.fixed_lattice
     if ka.rank != m1 or m1 < l:
         raise RuntimeError("internal: fixed-lattice rank inconsistency")
-    theta, idx = _theta_lattice(a, form, ka)
+    theta, idx = theta_lattice(rec)
     if l == n - 2 and (idx != 1 or m1 != n - 2):
         raise RuntimeError("internal: the l = n-2 case must have index 1 and m1 = n-2")
     if form.b.is_positive() and k < r:
@@ -344,8 +334,7 @@ def build_report(a: IntMatrix) -> InvariantReport:
     if l >= 1 and not verify_J0_relation(form):
         raise RuntimeError("internal: all-ones row relation failed")
 
-    det = a.det()
-    canonical = _canonical_data(rec, det)
+    canonical = canonical_descriptor(rec)
     alg_reduction = None
     if l == n - 2:
         alg_reduction = (
@@ -365,8 +354,8 @@ def build_report(a: IntMatrix) -> InvariantReport:
         kA_basis=ka,
         theta_basis=theta,
         theta_index=idx,
-        alg_dim=_alg_dim(rec, m1),
-        h0_tangent=_hol_vf_dimension(rec, m1),
+        alg_dim=alg_dim(rec),
+        h0_tangent=hol_vf_dimension(rec),
         h0_one_forms=0,
         kodaira="-infinity",
         pi1_M="Z",
@@ -378,5 +367,5 @@ def build_report(a: IntMatrix) -> InvariantReport:
         canonical_descriptor=canonical.descriptor,
         anticanonical_h0=canonical.anticanonical_h0,
         alg_reduction=alg_reduction,
-        det=det,
+        det=rec.det,
     )

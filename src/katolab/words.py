@@ -6,15 +6,16 @@ column.  A *Kato matrix* is a nonempty product of elementaries that is not a
 pure power of the index-``n`` factor.  Factorization peels the rightmost
 factor by subtracting the first ``n-1`` columns from the last and re-inserting
 the difference at the unique position compatible with the column chain order;
-:func:`recognize` keeps the word together with the block form.
+:func:`recognize` keeps the word, from which the block form follows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .intmat import IntMatrix, Row
+from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice
 
 
 class KatoRecognitionError(ValueError):
@@ -181,20 +182,13 @@ def is_kato(a: IntMatrix) -> bool:
         return False
 
 
-def _require_kato_word(a: IntMatrix) -> FactorSeq:
-    seq = factorize(a)
-    if not seq.is_kato_word:
-        raise NotKato("matrix is a pure power of the index-n factor")
-    return seq
-
-
-def type_of(a: IntMatrix) -> int:
+def type_of(a: IntMatrix | Recognized) -> int:
     """The type ``l``: size of the largest leading identity block.
 
     Equals ``min(word indices) - 1``; always ``0 <= l <= n-2`` for a Kato
     matrix.
     """
-    return min(_require_kato_word(a).indices) - 1
+    return recognize(a).l
 
 
 @dataclass(frozen=True)
@@ -227,45 +221,79 @@ class StandardForm:
 
 @dataclass(frozen=True)
 class Recognized:
-    """A Kato matrix recognized once: the matrix, its factor word, its block form."""
+    """A Kato matrix and its factor word; each value derived below is computed once, on first use."""
 
     matrix: IntMatrix
     word: FactorSeq
-    form: StandardForm
 
-    @property
+    @cached_property
     def l(self) -> int:
-        return self.form.l
+        return min(self.word.indices) - 1
+
+    @cached_property
+    def form(self) -> StandardForm:
+        # Proven for factor products: a failed re-check is an internal bug, not bad input.
+        a, l = self.matrix, self.l
+        for i, row in enumerate(a.rows):
+            if any(row[j] != int(i == j) for j in range(l)):
+                raise RuntimeError("internal: the first l columns are not e_1..e_l")
+        g = tuple(a.rows[i][l:] for i in range(l))
+        if l:
+            if any(row != g[0] for row in g):
+                raise RuntimeError("internal: off-diagonal rows are not all equal")
+            if not any(g[0]):
+                raise RuntimeError("internal: off-diagonal line vanishes")
+        line: Row = g[0] if l else ()
+        b = IntMatrix([row[l:] for row in a.rows[l:]])
+        return StandardForm(l=l, g=g, b=b, line=line)
+
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        return self.matrix.inverse_unimodular()
+
+    @cached_property
+    def positive_power(self) -> tuple[int, IntMatrix]:
+        """``(p, B**p)`` for the least ``p`` of :func:`positivity_power`."""
+        b = self.form.b
+        power = b
+        p = 1
+        while not power.is_positive():
+            if p >= b.n:
+                raise RuntimeError("internal: positivity bound exceeded")
+            power = power * b
+            p += 1
+        return p, power
+
+    @cached_property
+    def m1(self) -> int:
+        from .invariants import multiplicity_one  # invariants imports this module
+        return multiplicity_one(self.matrix)
+
+    @cached_property
+    def det(self) -> int:
+        return self.matrix.det()
+
+    @cached_property
+    def fixed_lattice(self) -> LatticeBasis:
+        return left_fixed_lattice(self.matrix)
 
 
 def recognize(a: IntMatrix | Recognized) -> Recognized:
-    """Factorize a Kato matrix once and split it into its type-``l`` block form.
+    """Factorize a Kato matrix once and hold it with its word.
 
     Raises :class:`NotAProduct` or :class:`NotKato` for other input.  A value
     already recognized is returned as it is, so a function that starts with
-    ``recognize`` accepts either.  The block structure is guaranteed for
-    factor products; it is re-checked here and a violation raises
-    ``RuntimeError`` (an internal bug, not bad input).
+    ``recognize`` accepts either.
     """
     if isinstance(a, Recognized):
         return a
-    word = _require_kato_word(a)
-    l = min(word.indices) - 1
-    for i, row in enumerate(a.rows):
-        if any(row[j] != int(i == j) for j in range(l)):
-            raise RuntimeError("internal: the first l columns are not e_1..e_l")
-    g = tuple(a.rows[i][l:] for i in range(l))
-    if l:
-        if any(row != g[0] for row in g):
-            raise RuntimeError("internal: off-diagonal rows are not all equal")
-        if not any(g[0]):
-            raise RuntimeError("internal: off-diagonal line vanishes")
-    line: Row = g[0] if l else ()
-    b = IntMatrix([row[l:] for row in a.rows[l:]])
-    return Recognized(a, word, StandardForm(l=l, g=g, b=b, line=line))
+    word = factorize(a)
+    if not word.is_kato_word:
+        raise NotKato("matrix is a pure power of the index-n factor")
+    return Recognized(a, word)
 
 
-def standard_form(a: IntMatrix) -> StandardForm:
+def standard_form(a: IntMatrix | Recognized) -> StandardForm:
     """Split a Kato matrix into its type-``l`` block form."""
     return recognize(a).form
 
@@ -287,33 +315,20 @@ def positivity_power(a: IntMatrix | Recognized) -> int:
     Bounded by the block dimension ``n - l`` for Kato matrices; exceeding the
     bound indicates an internal bug.
     """
-    return _positive_power(recognize(a))[0]
+    return recognize(a).positive_power[0]
 
 
-def _positive_power(rec: Recognized) -> tuple[int, IntMatrix]:
-    """``(p, B**p)`` for the least ``p`` of :func:`positivity_power`."""
-    b = rec.form.b
-    power = b
-    p = 1
-    while not power.is_positive():
-        if p >= b.n:
-            raise RuntimeError("internal: positivity bound exceeded")
-        power = power * b
-        p += 1
-    return p, power
-
-
-def erase_index(a: IntMatrix, j: int) -> IntMatrix:
+def erase_index(a: IntMatrix | Recognized, j: int) -> IntMatrix:
     """Delete row and column ``j`` (1-based, ``j <= l``) of a Kato matrix.
 
     Removing one of the leading identity coordinates of a type-``l`` matrix
     yields a Kato matrix of dimension ``n - 1`` and type ``l - 1``.
     """
-    l = type_of(a)
-    if not 1 <= j <= l:
-        raise ValueError(f"index must lie in 1..{l} (the leading block), got {j}")
-    keep = [i for i in range(a.n) if i != j - 1]
-    out = IntMatrix([[a.rows[i][t] for t in keep] for i in keep])
+    rec = recognize(a)
+    if not 1 <= j <= rec.l:
+        raise ValueError(f"index must lie in 1..{rec.l} (the leading block), got {j}")
+    keep = [i for i in range(rec.matrix.n) if i != j - 1]
+    out = IntMatrix([[rec.matrix.rows[i][t] for t in keep] for i in keep])
     if not is_kato(out):
         raise RuntimeError("internal: erasing a leading index must stay in the family")
     return out

@@ -123,6 +123,9 @@ def test_long_entry_parses_under_the_default_cap(capsys, monkeypatch):
         ("dynamics", "1,2;2,5", "--point", "1/10000000000000+0i;1+0i"),
         ("dynamics", "1,2;2,5", "--point", "9" * 5000 + "+0i;1+0i"),
         ("dynamics", "1,2;2,5", "--point", '{"orbit":[["1+' + "9" * 5000 + 'i","1+0i"]]}'),
+        ("compose", "n=99999999999999999999:[1]"),
+        ("compose", "n=9999999999999:[1]"),
+        ("compose", '{"n":99999999999999999999,"indices":[1]}'),
     ],
 )
 def test_number_over_the_cap_names_it(capsys, monkeypatch, argv):
@@ -348,6 +351,22 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     )
     assert code == EXIT_CHECK_FAILED
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dynamics", "1,2;2,5", "--action", "certify12", "--samples", "-3"),
+        ("dynamics", "1,2;2,5", "--action", "certify12", "--samples", "0"),
+        ("dynamics", "1,2;2,5", "--action", "membership", "--point", "2+0i;3+0i", "--max-iter", "-3"),
+        ("verify", "1,2;2,5", "--degree", "-1", "--check", "j0"),
+        ("verify", "2,0;0,1", "--degree", "-1"),
+    ],
+)
+def test_meaningless_counts_are_refused(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert re.search(r"(samples|max_iter|--degree) must be >= [01]", err)
 
 
 def test_verify_rejects_non_product(capsys):

@@ -146,6 +146,13 @@ def test_certify_ball12():
     assert json_rep["passed"] is True and json_rep["samples"] == 64
 
 
+def test_counts_below_the_meaningful_range_are_refused():
+    with pytest.raises(ValueError, match="samples"):
+        certify_ball12_contraction(A12, samples=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        stable_membership(A12, as_point([Fraction(2), Fraction(3)]), max_iter=-1)
+
+
 # -- samplers -----------------------------------------------------------------------
 
 

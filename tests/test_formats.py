@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,8 @@ from katolab import (
     parse_point,
     parse_seq,
 )
-from katolab._limits import ENV_VAR
+from katolab._limits import ENV_VAR, bit_cap
+from katolab.cli import EXIT_BAD_INPUT, run
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -213,3 +218,81 @@ def test_points_past_the_conversion_limit_format_and_parse_back():
         assert parse_point(text) == z
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# -- every wire format just under and just over a small digit cap --------------------------
+
+SMALL_CAP = {ENV_VAR: "6"}
+with mock.patch.dict(os.environ, SMALL_CAP):
+    BOUND = 1 << bit_cap()  # the least magnitude the guard refuses under SMALL_CAP
+
+near_cap = st.integers(BOUND - 40, BOUND + 40)
+magnitudes = st.one_of(st.integers(0, 60), near_cap, st.integers(BOUND, 100 * BOUND))
+entries = st.one_of(magnitudes, magnitudes.map(lambda x: -x))
+cap_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).map(IntMatrix)
+)
+cap_words = st.one_of(st.integers(2, 60), near_cap).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.one_of(st.integers(1, min(n, 60)), st.integers(max(1, n - 40), n)), min_size=1, max_size=4),
+    )
+)
+cap_rationals = st.builds(Fraction, entries, st.one_of(st.integers(1, 60), near_cap))
+cap_points = st.lists(st.builds(GaussianRational, cap_rationals, cap_rationals), min_size=1, max_size=3).map(tuple)
+
+
+def _over(values) -> bool:
+    return max(map(abs, values)) >= BOUND
+
+
+def _point_over(z) -> bool:
+    return _over(x for c in z for q in (c.re, c.im) for x in (q.numerator, q.denominator))
+
+
+def _check_at_cap(parse, text: str, value, over: bool, argv: tuple, stdin: str = "") -> None:
+    """Under the cap ``text`` parses back to ``value``; over it the parser and
+    the command ``argv`` (reading ``stdin``) refuse it, naming the cap."""
+    with mock.patch.dict(os.environ, SMALL_CAP):
+        if not over:
+            assert parse(text) == value
+            return
+        with pytest.raises(ResourceLimitError, match=ENV_VAR):
+            parse(text)
+        err = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(list(argv)) == EXIT_BAD_INPUT
+        assert ENV_VAR in err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(cap_matrices)
+def test_matrix_formats_at_the_cap(m):
+    over = _over(x for row in m.rows for x in row)
+    for text in (format_matrix_text(m), json.dumps(format_matrix_json(m))):
+        _check_at_cap(parse_matrix, text, m, over, ("factor", "-"), stdin=text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cap_words)
+def test_word_formats_at_the_cap(args):
+    n, indices = args
+    seq = FactorSeq(n, tuple(indices))
+    for text in (format_seq_text(seq), json.dumps(format_seq_json(seq))):
+        _check_at_cap(parse_seq, text, seq, _over(args[1] + [n]), ("compose", "-"), stdin=text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cap_points)
+def test_point_format_at_the_cap(z):
+    text = format_point(z)
+    _check_at_cap(parse_point, text, z, _point_over(z), ("dynamics", "1,2;2,5", f"--point={text}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(cap_points, min_size=1, max_size=3))
+def test_orbit_format_at_the_cap(orbit):
+    over = any(map(_point_over, orbit))
+    text = json.dumps(format_orbit_json(orbit))
+    _check_at_cap(parse_orbit, text, orbit, over, ("dynamics", "1,2;2,5", f"--point={text}"))

@@ -1,5 +1,5 @@
 """The package as a user meets it: no third-party module at run time, and a
-README quick tour that runs as written."""
+README quick tour and research scripts that run as written."""
 
 import contextlib
 import io
@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +52,20 @@ def test_readme_quick_tour_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert out.getvalue().split() == ["4", "1", "K", "=", "L⊗O(-A_(1)-C)"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant_survey.py", "--samples", "20"),
+        ("contraction_probe.py", "--n", "3", "--max-len", "3"),
+        ("nullity_scan.py", "--samples", "2"),
+    ],
+)
+def test_readme_research_scripts_run(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

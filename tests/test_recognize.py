@@ -1,7 +1,7 @@
-"""Recognize once, eliminate exactly: one factorization per report, integer
-elimination against a plain Fraction reference, and reports that stay
-byte-for-byte what they were before the refactor (the Perron root within
-1e-9 relative)."""
+"""Recognize once, eliminate exactly: one factorization per report or verify
+run and none for a recognized matrix, integer elimination against a plain
+Fraction reference, and reports that stay byte-for-byte what they were before
+the refactor (the Perron root within 1e-9 relative)."""
 
 import json
 import math
@@ -19,15 +19,33 @@ from katolab import (
     FactorSeq,
     IntMatrix,
     LatticeBasis,
+    NotAProduct,
     NotKato,
     Recognized,
+    alg_dim,
+    as_point,
     build_report,
+    canonical_descriptor,
+    certify_ball12_contraction,
     compose_factors,
+    erase_index,
+    eval_inverse,
+    format_matrix_text,
+    fundamental_domain_membership,
+    hol_vf_dimension,
+    invariant_monomials,
     lattice_index,
+    one_form_nullity,
     perron_data,
+    positivity_power,
     recognize,
+    stable_membership,
+    standard_field_generators,
     standard_form,
+    theta_lattice,
+    type_of,
 )
+from katolab.cli import run
 
 from conftest import positive_block_power, random_factor_seq
 
@@ -111,7 +129,8 @@ def test_recognize_holds_word_and_form():
         rec.matrix = a
 
 
-def test_one_factorization_per_report(monkeypatch):
+def count_factorizations(monkeypatch) -> list:
+    """Wrap ``factorize`` in every katolab namespace; returns the list of its arguments."""
     calls = []
     original = katolab.words.factorize
 
@@ -124,12 +143,99 @@ def test_one_factorization_per_report(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_one_factorization_per_report(monkeypatch):
+    calls = count_factorizations(monkeypatch)
     rng = random.Random(5)
     for _ in range(40):
         a = compose_factors(random_factor_seq(rng, n_range=(2, 5), k_range=(1, 6)))
         calls.clear()
         build_report(a)
         assert calls == [a]
+
+
+def test_one_factorization_per_verify(monkeypatch, capsys):
+    calls = count_factorizations(monkeypatch)
+    for seq in (FactorSeq(3, (2, 3, 3)), FactorSeq(3, (1, 2, 3, 1, 2, 3)), FactorSeq(3, (2, 3, 2, 3))):
+        a = compose_factors(seq)
+        calls.clear()
+        assert run(["verify", format_matrix_text(a), "--check", "all", "--degree", "3"]) == 0
+        assert calls == [a], capsys.readouterr().out
+
+
+# Type 1 with a positive lower block, so that every Kato-only function applies.
+A2323 = compose_factors(FactorSeq(3, (2, 3, 2, 3)))
+Z = as_point([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+
+KATO_ONLY = {
+    "eval_inverse": lambda a: eval_inverse(a, Z),
+    "stable_membership": lambda a: stable_membership(a, Z),
+    "fundamental_domain_membership": lambda a: fundamental_domain_membership(a, Z),
+    "certify_ball12_contraction": lambda a: certify_ball12_contraction(a, samples=8),
+    "perron_data": perron_data,
+    "standard_field_generators": standard_field_generators,
+    "one_form_nullity": lambda a: one_form_nullity(a, 2),
+    "hol_vf_dimension": hol_vf_dimension,
+    "alg_dim": alg_dim,
+    "canonical_descriptor": canonical_descriptor,
+    "theta_lattice": theta_lattice,
+    "invariant_monomials": invariant_monomials,
+    "build_report": build_report,
+    "type_of": type_of,
+    "standard_form": standard_form,
+    "positivity_power": positivity_power,
+}
+
+
+@pytest.mark.parametrize("name", KATO_ONLY)
+def test_kato_only_functions_take_a_recognized_matrix(monkeypatch, name):
+    """One factorization for a matrix, none for a recognized one, same result."""
+    f = KATO_ONLY[name]
+    calls = count_factorizations(monkeypatch)
+    from_matrix = f(A2323)
+    assert calls == [A2323]
+    rec = recognize(A2323)
+    calls.clear()
+    assert f(rec) == from_matrix
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", KATO_ONLY)
+def test_kato_only_functions_refuse_other_matrices(name):
+    with pytest.raises(NotAProduct):
+        KATO_ONLY[name](IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(NotKato):
+        KATO_ONLY[name](compose_factors(FactorSeq(3, (3, 3))))
+
+
+def test_erase_index_takes_a_recognized_matrix(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    out = erase_index(A2323, 1)
+    assert calls == [A2323, out]  # the second one re-checks the result
+    rec = recognize(A2323)
+    calls.clear()
+    assert erase_index(rec, 1) == out
+    assert calls == [out]
+
+
+def test_derived_values_are_computed_once_per_handle(monkeypatch):
+    calls = []
+    original = IntMatrix.inverse_unimodular
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", counting)
+    rec = recognize(A2323)
+    z = Z
+    for _ in range(3):
+        z = eval_inverse(rec, z)
+        fundamental_domain_membership(rec, z)
+    assert calls == [A2323]
+    assert rec.inverse * A2323 == IntMatrix.identity(3)
 
 
 # -- integer elimination against the Fraction reference --------------------------------
