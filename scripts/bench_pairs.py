@@ -36,6 +36,8 @@ SIDES = ("parent", "change")
 LAYERS = (
     "words.factorize.calls_per_op",
     "words.factorize.calls",
+    "words.factorize.self_ms",
+    "intmat.IntMatrix.det.calls",
     "invariants.multiplicity_one.calls",
     "invariants.build_report.calls",
     "limits.guard_int.calls",

@@ -60,18 +60,16 @@ def multiplicity_one(a: IntMatrix) -> int:
     return a.n - (a - IntMatrix.identity(a.n)).rank()
 
 
-def theta_lattice(a: IntMatrix | Recognized, form: Optional[StandardForm] = None) -> tuple[LatticeBasis, int]:
+def theta_lattice(a: IntMatrix | Recognized) -> tuple[LatticeBasis, int]:
     """The explicit finite-index sublattice of the fixed lattice, with index.
 
     Generators: the sum-zero leading directions ``e_i - e_{i+1}``, one mixed
     generator ``((n-l-1) e_1, -J_0)`` realizing the parameter ``a = 1``, and
     the fixed vectors of the lower block.  Every generator is checked to be
     fixed by ``a``; the documented rank relation ``rank K_B = rank K_A - l``
-    is asserted.  ``form``, when given, must be the block form of ``a``.
+    is asserted.
     """
     rec = recognize(a)
-    if form is not None and form != rec.form:
-        raise ValueError("form is not the block form of the matrix")
     a, form, ka = rec.matrix, rec.form, rec.fixed_lattice
     n, l = form.n, form.l
     nl = n - l

@@ -5,8 +5,10 @@ An elementary matrix of dimension ``n`` and index ``j`` has columns
 column.  A *Kato matrix* is a nonempty product of elementaries that is not a
 pure power of the index-``n`` factor.  Factorization peels the rightmost
 factor by subtracting the first ``n-1`` columns from the last and re-inserting
-the difference at the unique position compatible with the column chain order;
-:func:`recognize` keeps the word, from which the block form follows.
+the difference among the others.  The chain order allows one position only:
+the number of remaining columns that precede the difference.
+:func:`recognize` keeps the word, from which the block form and the
+determinant follow.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._limits import digit_cap, limit_error
 from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice
 
 
@@ -24,16 +27,6 @@ class KatoRecognitionError(ValueError):
 
 class NotAProduct(KatoRecognitionError):
     """The matrix is not a product of elementary factors."""
-
-
-class AmbiguousOrder(NotAProduct):
-    """More than one insertion position fits the column chain.
-
-    Unreachable for the chain order implemented here (two valid positions
-    would need ``u`` before and after the peeled column simultaneously), but
-    kept as a defensive surface: if the order relation is ever changed, the
-    factorizer will refuse to guess.
-    """
 
 
 class NotKato(KatoRecognitionError):
@@ -104,12 +97,16 @@ def elementary(n: int, j: int) -> IntMatrix:
     """The dimension-``n`` elementary matrix with index ``j``.
 
     Columns: the standard basis with ``e_j`` removed, then the all-ones
-    column last.  Its determinant is ``(-1)**(n-j)``.
+    column last.  Its determinant is ``(-1)**(n-j)``.  Its ``n**2`` entries
+    print as at least ``n**2`` digits, so ``n**2`` past the digit cap is
+    refused.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if not 1 <= j <= n:
         raise ValueError(f"index must lie in 1..{n}, got {j}")
+    if n * n > digit_cap():
+        raise limit_error(f"a dimension-{n} matrix ({n * n} entries)")
     cols = [tuple(int(s == t) for s in range(1, n + 1)) for t in range(1, n + 1) if t != j]
     cols.append((1,) * n)
     return IntMatrix.from_columns(cols)
@@ -128,10 +125,12 @@ def factorize(a: IntMatrix) -> FactorSeq:
 
     Peels factors from the right: the candidate column ``c`` is the last
     column minus the sum of the others, and the previous matrix is the first
-    ``n-1`` columns with ``c`` inserted at the unique chain-compatible
-    position.  Raises :class:`NotAProduct` when any step fails, and
-    :class:`AmbiguousOrder` (never observed; see the class docstring) if more
-    than one position fits.
+    ``n-1`` columns with ``c`` inserted at position ``q``, the number of them
+    that precede ``c``.  The chain order is asymmetric, so that count is the
+    only position where the columns before ``c`` all precede it and ``c``
+    precedes all after it; the peel checks this one position.  Raises
+    :class:`NotAProduct` when any step fails, and ``ResourceLimitError`` once
+    the word would pass the digit cap in factors (it could not be printed).
     """
     n = a.n  # raises ValueError on rectangular input
     if n < 2:
@@ -143,14 +142,17 @@ def factorize(a: IntMatrix) -> FactorSeq:
     if a.is_identity():
         raise NotAProduct("the identity is the empty word; at least one factor is required")
 
-    cols = list(a.columns())
+    cols = a.columns()
     total = sum(x for col in cols for x in col)
     cap = total // (n - 1) + 1
+    max_factors = digit_cap()
     peeled: list[int] = []
-    identity_cols = list(IntMatrix.identity(n).columns())
-    while cols != identity_cols:
+    identity = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    while cols != identity:
         if len(peeled) >= cap:
             raise NotAProduct("entry-sum budget exhausted without reaching the identity")
+        if len(peeled) >= max_factors:
+            raise limit_error(f"a word of more than {max_factors} factors")
         head, last = cols[:-1], cols[-1]
         c = tuple(last[i] - sum(h[i] for h in head) for i in range(n))
         if any(x < 0 for x in c) or not any(c):
@@ -158,19 +160,12 @@ def factorize(a: IntMatrix) -> FactorSeq:
         for i in range(n - 2):
             if not column_precedes(head[i], head[i + 1]):
                 raise NotAProduct("columns are not chain-ordered")
-        positions = [
-            q
-            for q in range(n)
-            if all(column_precedes(head[i], c) for i in range(q))
-            and all(column_precedes(c, head[i]) for i in range(q, n - 1))
-        ]
-        if not positions:
+        before = [column_precedes(h, c) for h in head]
+        q = sum(before)
+        if not (all(before[:q]) and all(column_precedes(c, h) for h in head[q:])):
             raise NotAProduct("peeled column fits no position in the column chain")
-        if len(positions) > 1:
-            raise AmbiguousOrder(f"insertion position is not unique: {positions}")
-        q = positions[0]
         peeled.append(q + 1)
-        cols = head[:q] + [c] + head[q:]
+        cols = head[:q] + (c,) + head[q:]
     return FactorSeq(n, tuple(reversed(peeled)))
 
 
@@ -271,7 +266,9 @@ class Recognized:
 
     @cached_property
     def det(self) -> int:
-        return self.matrix.det()
+        # Each elementary factor ``E_j`` has determinant ``(-1)**(n-j)``.
+        n = self.word.n
+        return (-1) ** sum(n - j for j in self.word.indices)
 
     @cached_property
     def fixed_lattice(self) -> LatticeBasis:

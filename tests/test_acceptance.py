@@ -146,7 +146,7 @@ def test_structural_identities():
         ka = left_fixed_lattice(a)
         kb = left_fixed_lattice(form.b)
         assert kb.rank == ka.rank - l
-        _, index = theta_lattice(a, form)  # raises unless contained with finite index
+        _, index = theta_lattice(a)  # raises unless contained with finite index
         assert isinstance(index, int) and index >= 1
         if l == n - 2:
             assert index == 1

@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from katolab.cli import (
 )
 
 A23_TEXT = "1,0,2;0,0,1;0,1,2"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -89,6 +93,38 @@ def test_digit_cap_env(capsys, monkeypatch):
     code, _, err = invoke(capsys, "factor", "100,1;1,2")
     assert code == EXIT_BAD_INPUT
     assert "KATOLAB_DIGIT_CAP" in err
+
+
+def test_word_longer_than_the_cap_is_refused(capsys, monkeypatch):
+    # "1,N;0,1" is the pure power E_2^N: its word has N factors.
+    monkeypatch.setenv("KATOLAB_DIGIT_CAP", "50")
+    code, _, err = invoke(capsys, "factor", "1,1000;0,1")
+    assert code == EXIT_BAD_INPUT
+    assert "50 decimal digits" in err and "KATOLAB_DIGIT_CAP" in err
+    code, out, _ = invoke(capsys, "factor", "1,50;0,1")
+    assert code == EXIT_OK
+    assert out.strip() == "n=2:[" + ",".join(["2"] * 50) + "]"
+
+
+def test_long_word_is_refused_without_peeling_it_all(monkeypatch):
+    monkeypatch.delenv("KATOLAB_DIGIT_CAP", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "katolab", "invariants", "1,100000000000;0,1"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "KATOLAB_DIGIT_CAP" in proc.stderr
+
+
+def test_compose_refuses_a_dimension_past_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("KATOLAB_DIGIT_CAP", raising=False)
+    code, _, err = invoke(capsys, "compose", "n=100000:[1]")
+    assert code == EXIT_BAD_INPUT
+    assert "100000 decimal digits" in err and "KATOLAB_DIGIT_CAP" in err
+    code, out, _ = invoke(capsys, "compose", "n=316:[1,2]")  # 316**2 entries, just under the cap
+    assert code == EXIT_OK
+    assert out.count(";") == 315
 
 
 # -- integers longer than Python's default 4300-digit str conversion limit ----------

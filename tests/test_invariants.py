@@ -78,7 +78,7 @@ def test_multiplicity_one_against_sympy():
 
 
 def test_theta_lattice_frozen():
-    theta, idx = theta_lattice(A23, standard_form(A23))
+    theta, idx = theta_lattice(A23)
     assert idx == 1
     assert theta.rows == ((1, -1, -1),)
 
@@ -91,7 +91,7 @@ def test_theta_lattice_properties():
         seq = random_factor_seq(rng, n_range=(2, 6), k_range=(1, 8))
         a = compose_factors(seq)
         form = standard_form(a)
-        theta, idx = theta_lattice(a, form)
+        theta, idx = theta_lattice(a)
         ka = left_fixed_lattice(a)
         assert theta.rank == ka.rank == multiplicity_one(a)
         assert idx >= 1 and idx != math.inf

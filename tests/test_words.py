@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katolab import (
-    AmbiguousOrder,
     FactorSeq,
     IntMatrix,
     KatoRecognitionError,
@@ -18,9 +17,11 @@ from katolab import (
     factorize,
     is_kato,
     positivity_power,
+    recognize,
     standard_form,
     type_of,
 )
+import katolab.words
 from katolab.words import column_precedes
 
 from conftest import random_factor_seq, small_word_corpus
@@ -146,6 +147,143 @@ def test_factorize_rejections():
         factorize(IntMatrix([[1, 2], [0, 1]]) * IntMatrix([[1, 0], [2, 1]]))
 
 
+def reference_factorize(a: IntMatrix) -> FactorSeq:
+    """The factorizer as it was before the single-position peel: every
+    insertion position is tried at every step."""
+    n = a.n
+    if n < 2:
+        raise NotAProduct("products of elementary factors need dimension >= 2")
+    if any(x < 0 for row in a.rows for x in row):
+        raise NotAProduct("a factor product has no negative entries")
+    if a.det() not in (1, -1):
+        raise NotAProduct("a factor product is unimodular")
+    if a.is_identity():
+        raise NotAProduct("the identity is the empty word; at least one factor is required")
+
+    cols = list(a.columns())
+    total = sum(x for col in cols for x in col)
+    cap = total // (n - 1) + 1
+    peeled: list[int] = []
+    identity_cols = list(IntMatrix.identity(n).columns())
+    while cols != identity_cols:
+        if len(peeled) >= cap:
+            raise NotAProduct("entry-sum budget exhausted without reaching the identity")
+        head, last = cols[:-1], cols[-1]
+        c = tuple(last[i] - sum(h[i] for h in head) for i in range(n))
+        if any(x < 0 for x in c) or not any(c):
+            raise NotAProduct("peeled column is not a valid factor column")
+        for i in range(n - 2):
+            if not column_precedes(head[i], head[i + 1]):
+                raise NotAProduct("columns are not chain-ordered")
+        positions = [
+            q
+            for q in range(n)
+            if all(column_precedes(head[i], c) for i in range(q))
+            and all(column_precedes(c, head[i]) for i in range(q, n - 1))
+        ]
+        if not positions:
+            raise NotAProduct("peeled column fits no position in the column chain")
+        if len(positions) > 1:
+            raise AssertionError(f"insertion position is not unique: {positions}")
+        q = positions[0]
+        peeled.append(q + 1)
+        cols = head[:q] + [c] + head[q:]
+    return FactorSeq(n, tuple(reversed(peeled)))
+
+
+def outcome(factorizer, a: IntMatrix):
+    """The word, or the type and message of the recognition error."""
+    try:
+        return factorizer(a)
+    except NotAProduct as exc:
+        return type(exc), str(exc)
+
+
+def composed(args) -> IntMatrix:
+    n, indices = args
+    return compose_factors(FactorSeq(n, tuple(indices)))
+
+
+def perturbed(args) -> IntMatrix:
+    word, changes = args
+    rows = composed(word).to_rows()
+    n = len(rows)
+    for i, j, delta in changes:
+        rows[i % n][j % n] += delta
+    return IntMatrix(rows)
+
+
+def sheared(args) -> IntMatrix:
+    n, perm, shears = args
+    a = IntMatrix([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    for i, j, t in shears:
+        i, j = i % n, j % n
+        if i != j:
+            a = a * IntMatrix([[int(r == s) + t * (r == i and s == j) for s in range(n)] for r in range(n)])
+    return a
+
+
+peel_inputs = st.one_of(
+    words.map(composed),
+    st.tuples(
+        words,
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([-2, -1, 1, 2])),
+            min_size=1,
+            max_size=2,
+        ),
+    ).map(perturbed),
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(IntMatrix),
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.permutations(range(n)),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+                max_size=6,
+            ),
+        )
+    ).map(sheared),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(peel_inputs)
+def test_single_position_peel_matches_the_all_positions_search(a):
+    assert outcome(factorize, a) == outcome(reference_factorize, a)
+
+
+def test_peel_makes_at_most_3n_minus_4_order_tests_per_factor(monkeypatch):
+    calls = 0
+
+    def counting(v, w):
+        nonlocal calls
+        calls += 1
+        return column_precedes(v, w)
+
+    monkeypatch.setattr(katolab.words, "column_precedes", counting)
+    rng = random.Random(17)
+    for _ in range(200):
+        seq = random_factor_seq(rng, n_range=(6, 6), k_range=(1, 12), kato_only=False)
+        calls = 0
+        assert factorize(compose_factors(seq)) == seq
+        assert calls <= (3 * 6 - 4) * seq.k
+
+
+@settings(max_examples=150, deadline=None)
+@given(words)
+def test_determinant_is_read_from_the_word(args):
+    seq = FactorSeq(args[0], tuple(args[1]))
+    if not seq.is_kato_word:
+        return
+    a = compose_factors(seq)
+    assert recognize(a).det == a.det()
+
+
 def test_factorize_accepts_pure_powers():
     seq = factorize(compose_factors(FactorSeq(3, (3, 3))))
     assert seq.indices == (3, 3)
@@ -157,7 +295,6 @@ def test_factorize_accepts_pure_powers():
 
 def test_exceptions_hierarchy():
     assert issubclass(NotAProduct, KatoRecognitionError)
-    assert issubclass(AmbiguousOrder, NotAProduct)
     assert issubclass(NotKato, KatoRecognitionError)
     assert issubclass(KatoRecognitionError, ValueError)
 
