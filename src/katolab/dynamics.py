@@ -200,7 +200,7 @@ def certify_ball12_contraction(
         if num * worst_den > worst_num * d:
             worst_num, worst_den = num, d
         if num >= d:
-            z = _scaled_point(parts, t, _DENOMINATOR)
+            z = _scaled_point(parts, t)
             return ContractionReport(False, samples, z, Fraction(num, d), Fraction(worst_num, worst_den))
     return ContractionReport(True, samples, None, None, Fraction(worst_num, worst_den))
 
@@ -211,29 +211,24 @@ _SCALE_GRID = 1 << 16
 _DENOMINATOR = 64
 
 
-def _draw_ball(
-    n: int,
-    count: int,
-    seed: int,
-    last_weight: int,
-    closed: bool = True,
-    boundary_share: float = 0.5,
-    denominator: int = _DENOMINATOR,
-):
+def _draw_ball(n: int, count: int, seed: int, last_weight: int, closed: bool = True):
     """Yield ``(parts, raw_moduli, t)`` for each point of :func:`sample_ball_points`.
 
     The point is ``t / _SCALE_GRID`` times the raw point whose coordinates
-    are ``(x + y*i) / denominator`` for the integer ``parts`` ``(x, y)``;
+    are ``(x + y*i) / _DENOMINATOR`` for the integer ``parts`` ``(x, y)``;
     ``raw_moduli`` are the integers ``x**2 + y**2``.  The grid scale ``t`` is
     the largest integer that keeps the squared norm (last coordinate weighted
-    by ``last_weight``) at or below its target.
+    by ``last_weight``) at or below its target: 1 for the first half of the
+    points, a random multiple of ``_DENOMINATOR**-2`` in ``(0, 1]`` for the
+    rest.
     """
     rng = Random(seed)
-    near_cut = int(count * boundary_share)
-    d2, k2 = denominator * denominator, _SCALE_GRID * _SCALE_GRID
+    near_cut = count // 2
+    d2, k2 = _DENOMINATOR * _DENOMINATOR, _SCALE_GRID * _SCALE_GRID
     for idx in range(count):
         parts = [
-            (rng.randint(-denominator, denominator), rng.randint(-denominator, denominator)) for _ in range(n)
+            (rng.randint(-_DENOMINATOR, _DENOMINATOR), rng.randint(-_DENOMINATOR, _DENOMINATOR))
+            for _ in range(n)
         ]
         raw = [x * x + y * y for x, y in parts]
         s = sum(raw) + (last_weight - 1) * sum(raw[-1:])  # the raw squared norm is s / d2
@@ -251,8 +246,8 @@ def _draw_ball(
         yield parts, raw, t
 
 
-def _scaled_point(parts, t: int, denominator: int) -> Point:
-    den = denominator * _SCALE_GRID
+def _scaled_point(parts, t: int) -> Point:
+    den = _DENOMINATOR * _SCALE_GRID
     return tuple(GaussianRational(Fraction(x * t, den), Fraction(y * t, den)) for x, y in parts)
 
 
@@ -262,16 +257,15 @@ def sample_ball_points(
     seed: int,
     norm: Literal["euclidean", "one-two"] = "euclidean",
     closed: bool = True,
-    boundary_share: float = 0.5,
-    denominator: int = _DENOMINATOR,
 ) -> list[Point]:
     """Deterministic exact rational points of the (closed) unit ball.
 
-    ``norm`` selects the Euclidean or weighted (1,2) ball.  A
-    ``boundary_share`` fraction of the points is scaled to within ``2**-16``
-    of the unit sphere from inside; the rest fill the interior.  With
-    ``closed=False`` every point gets strictly positive distance to the
-    boundary.
+    ``norm`` selects the Euclidean or weighted (1,2) ball.  Each point is a
+    random point with parts in ``1/64``ths of ``[-1, 1]``, scaled by a
+    multiple of ``2**-16``.  The first half of the points (``count // 2``)
+    is scaled to within ``2**-16`` of the unit sphere from inside; the rest
+    fill the interior.  With ``closed=False`` every point gets strictly
+    positive distance to the boundary.
     """
     if norm == "euclidean":
         last_weight = 1
@@ -279,14 +273,16 @@ def sample_ball_points(
         last_weight = 2
     else:
         raise ValueError(f'norm must be "euclidean" or "one-two", got {norm!r}')
-    draws = _draw_ball(n, count, seed, last_weight, closed, boundary_share, denominator)
-    return [_scaled_point(parts, t, denominator) for parts, _, t in draws]
+    draws = _draw_ball(n, count, seed, last_weight, closed)
+    return [_scaled_point(parts, t) for parts, _, t in draws]
 
 
-def sample_torus_points(
-    n: int, count: int, seed: int, denominator: int = 7, max_abs: int = 2
-) -> list[Point]:
-    """Deterministic points with every coordinate nonzero (exact rationals)."""
+def sample_torus_points(n: int, count: int, seed: int) -> list[Point]:
+    """Deterministic points with every coordinate nonzero (exact rationals).
+
+    Real and imaginary parts are random multiples of ``1/7`` in ``[-2, 2]``;
+    a coordinate drawn as zero is drawn again.
+    """
     rng = Random(seed)
     pts = []
     for _ in range(count):
@@ -294,8 +290,8 @@ def sample_torus_points(
         for _ in range(n):
             while True:
                 c = GaussianRational(
-                    Fraction(rng.randint(-max_abs * denominator, max_abs * denominator), denominator),
-                    Fraction(rng.randint(-max_abs * denominator, max_abs * denominator), denominator),
+                    Fraction(rng.randint(-14, 14), 7),
+                    Fraction(rng.randint(-14, 14), 7),
                 )
                 if c:
                     coords.append(c)
@@ -431,7 +427,8 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     power_residual = max(abs(y - alpha**p * x) for x, y in zip(f, _rows_times(bp.rows, f)))
     surd = None
     if b.n == 2:
-        tr, det = b.trace(), b.det()
+        # det B = det A, because the leading block of A is the identity.
+        tr, det = b.trace(), rec.det
         disc = tr * tr - 4 * det
         if disc >= 0:
             rad, ext = _reduce_radicand(disc)

@@ -11,7 +11,8 @@ JSON forms
     orbit    ``{"orbit": [["1/2+0i", ...], ...]}``
 
 Parsers sniff a leading ``{`` to pick the JSON reading and raise
-``ValueError`` with a human-readable message on malformed input.  Numbers
+``ValueError`` with a human-readable message on malformed input, JSON
+nested past the interpreter's recursion limit included.  Numbers
 longer than ``KATOLAB_DIGIT_CAP`` allows are refused before they are
 converted, and parsed values pass through the same guard as computed ones.
 """
@@ -38,6 +39,17 @@ def _refuse_long_numbers(text: str, context: str) -> None:
         raise limit_error(context)
 
 
+def _load_json(text: str):
+    """``json.loads``, refusing input nested past the interpreter's recursion limit.
+
+    ``json.JSONDecodeError`` (a ``ValueError``) passes through as it is.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 # -- matrices ------------------------------------------------------------------
 
 
@@ -61,7 +73,7 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError("empty matrix input")
     _refuse_long_numbers(text, "matrix entry")
     if text.startswith("{"):
-        data = json.loads(text)
+        data = _load_json(text)
         if not isinstance(data, dict) or set(data) != {"n", "rows"}:
             raise ValueError('matrix JSON must have exactly the keys "n" and "rows"')
         n, rows = data["n"], data["rows"]
@@ -97,7 +109,7 @@ def parse_seq(text: str) -> FactorSeq:
         raise ValueError("empty sequence input")
     _refuse_long_numbers(text, "sequence entry")
     if text.startswith("{"):
-        data = json.loads(text)
+        data = _load_json(text)
         if not isinstance(data, dict) or set(data) != {"n", "indices"}:
             raise ValueError('sequence JSON must have exactly the keys "n" and "indices"')
         n, indices = data["n"], data["indices"]
@@ -203,12 +215,14 @@ def format_orbit_json(points: Sequence[Point]) -> dict:
 
 
 def parse_orbit(text: str) -> list[Point]:
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict) or set(data) != {"orbit"}:
         raise ValueError('orbit JSON must have exactly the key "orbit"')
+    if not isinstance(data["orbit"], list):
+        raise ValueError('"orbit" must be a list of points')
     out = []
     for entry in data["orbit"]:
-        if not isinstance(entry, list):
+        if not isinstance(entry, list) or not all(isinstance(c, str) for c in entry):
             raise ValueError("each orbit entry must be a list of complex strings")
         out.append(tuple(parse_complex(c) for c in entry))
     return out

@@ -78,9 +78,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Exact squared modulus ``re**2 + im**2``."""
         return self.re * self.re + self.im * self.im

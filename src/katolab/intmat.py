@@ -60,10 +60,6 @@ class IntMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(cols).transpose()
 
@@ -88,14 +84,8 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def row(self, i: int) -> Row:
-        return self.rows[i]
-
     def col(self, j: int) -> Row:
         return tuple(r[j] for r in self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def columns(self) -> tuple[Row, ...]:
         return tuple(self.col(j) for j in range(self.ncols))
@@ -127,9 +117,6 @@ class IntMatrix:
             [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self.rows])
-
     def __mul__(self, other: Union["IntMatrix", int]) -> "IntMatrix":
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
@@ -138,7 +125,9 @@ class IntMatrix:
             rows = [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self.rows]
             _guard_rows(rows, "matrix entry")
             return IntMatrix(rows)
-        return IntMatrix([[x * other for x in r] for r in self.rows])
+        rows = [[x * other for x in r] for r in self.rows]
+        _guard_rows(rows, "matrix entry")
+        return IntMatrix(rows)
 
     __rmul__ = __mul__
 
@@ -210,15 +199,6 @@ def vec_mat(v: Sequence[int], m: IntMatrix) -> Row:
     if len(v) != m.nrows:
         raise ValueError("vector length does not match row count")
     out = tuple(sum(v[i] * m.rows[i][j] for i in range(m.nrows)) for j in range(m.ncols))
-    _guard_rows((out,), "vector entry")
-    return out
-
-
-def mat_vec(m: IntMatrix, v: Sequence[int]) -> Row:
-    """Matrix times column vector, exactly."""
-    if len(v) != m.ncols:
-        raise ValueError("vector length does not match column count")
-    out = tuple(sum(r[j] * v[j] for j in range(m.ncols)) for r in m.rows)
     _guard_rows((out,), "vector entry")
     return out
 

@@ -46,10 +46,6 @@ class SparseLaurentPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c: Coeff) -> "SparseLaurentPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def monomial(cls, exponents: Sequence[int], coeff: Coeff = 1) -> "SparseLaurentPoly":
         return cls(len(exponents), {tuple(exponents): coeff})
 
@@ -69,13 +65,6 @@ class SparseLaurentPoly:
     @property
     def is_polynomial(self) -> bool:
         return all(x >= 0 for e in self.terms for x in e)
-
-    def total_degrees(self) -> tuple[int, int] | None:
-        """(min, max) total degree over the support, or None when zero."""
-        if not self.terms:
-            return None
-        sums = [sum(e) for e in self.terms]
-        return min(sums), max(sums)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -140,30 +129,7 @@ class SparseLaurentPoly:
         )
 
     def __repr__(self) -> str:
-        return f"SparseLaurentPoly({self.nvars}, {self.to_string()!r})"
-
-    def to_string(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(1, self.nvars + 1)]
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            factors = [
-                (names[i] if x == 1 else f"{names[i]}^{x}")
-                for i, x in enumerate(e)
-                if x
-            ]
-            body = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                parts.append(body)
-            elif c == -1 and factors:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}" if factors else f"{c}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return f"SparseLaurentPoly({self.nvars}, {self.terms!r})"
 
 
 def iter_monomials(nvars: int, max_total: int) -> Iterator[Exponent]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from ._limits import digit_cap, limit_error
+from ._limits import digit_cap, guard_int, limit_error
 from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice
 
 
@@ -113,11 +113,18 @@ def elementary(n: int, j: int) -> IntMatrix:
 
 
 def compose_factors(seq: FactorSeq) -> IntMatrix:
-    """Product of the word's elementary factors, left to right."""
-    out = elementary(seq.n, seq.indices[0])
+    """Product of the word's elementary factors, left to right.
+
+    Multiplying a matrix on the right by ``E_j`` drops its column ``j`` and
+    appends the sum of its columns, so each factor after the first costs
+    ``O(n**2)`` additions on columns and one digit-cap check of the new one.
+    """
+    cols = elementary(seq.n, seq.indices[0]).columns()
     for j in seq.indices[1:]:
-        out = out * elementary(seq.n, j)
-    return out
+        total = tuple(map(sum, zip(*cols)))
+        guard_int(max(total), "matrix entry")  # entries are nonnegative
+        cols = cols[: j - 1] + cols[j:] + (total,)
+    return IntMatrix.from_columns(cols)
 
 
 def factorize(a: IntMatrix) -> FactorSeq:
@@ -319,13 +326,16 @@ def erase_index(a: IntMatrix | Recognized, j: int) -> IntMatrix:
     """Delete row and column ``j`` (1-based, ``j <= l``) of a Kato matrix.
 
     Removing one of the leading identity coordinates of a type-``l`` matrix
-    yields a Kato matrix of dimension ``n - 1`` and type ``l - 1``.
+    yields a Kato matrix of dimension ``n - 1`` and type ``l - 1``: its word
+    is the input word with every index lowered by one, and the result is
+    checked by composing that word.
     """
     rec = recognize(a)
     if not 1 <= j <= rec.l:
         raise ValueError(f"index must lie in 1..{rec.l} (the leading block), got {j}")
     keep = [i for i in range(rec.matrix.n) if i != j - 1]
     out = IntMatrix([[rec.matrix.rows[i][t] for t in keep] for i in keep])
-    if not is_kato(out):
-        raise RuntimeError("internal: erasing a leading index must stay in the family")
+    lowered = FactorSeq(rec.word.n - 1, tuple(i - 1 for i in rec.word.indices))
+    if compose_factors(lowered) != out:
+        raise RuntimeError("internal: erasing a leading index must lower every word index")
     return out

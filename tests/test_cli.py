@@ -19,6 +19,7 @@ from katolab.cli import (
 )
 
 A23_TEXT = "1,0,2;0,0,1;0,1,2"
+NESTED = "[" * 5000 + "]" * 5000  # deeper than the interpreter's recursion limit
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -215,6 +216,18 @@ def test_batch(capsys, tmp_path):
     assert records[3]["euler"] == 4
 
 
+def test_batch_survives_a_deeply_nested_line(capsys, tmp_path):
+    path = tmp_path / "batch.ndjson"
+    path.write_text("0,1;1,2\n" + '{"n": ' + NESTED + "}\n" + A23_TEXT + "\n")
+    code, out, _ = invoke(capsys, "invariants", "--batch", str(path))
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(records) == 3
+    assert records[0]["n"] == 2
+    assert records[1]["error"] == {"type": "ValueError", "message": "JSON input is nested too deeply"}
+    assert records[2]["euler"] == 4
+
+
 def test_batch_empty_and_missing(capsys, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -327,6 +340,27 @@ def test_invariants_large_perron_root(capsys):
 def test_dynamics_point_with_exponent_is_refused(capsys):
     code, _, err = invoke(capsys, "dynamics", "1,2;2,5", "--action", "map", "--point", "1e30000000+0i;1+0i")
     assert code == EXIT_BAD_INPUT and "not a complex rational" in err
+
+
+@pytest.mark.parametrize("dump", ['{"orbit": 5}', '{"orbit": [[5]]}'])
+def test_malformed_orbit_dump_is_refused(capsys, dump):
+    code, _, err = invoke(capsys, "dynamics", "1,2;2,5", "--point", dump)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", '{"n": ' + NESTED + "}"),
+        ("compose", '{"n": 2, "indices": ' + NESTED + "}"),
+        ("dynamics", "1,2;2,5", "--point", '{"orbit": ' + NESTED + "}"),
+    ],
+)
+def test_deeply_nested_json_is_refused(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == "error: JSON input is nested too deeply\n"
 
 
 def test_dynamics_certify12(capsys):

@@ -189,6 +189,28 @@ def test_orbit_frozen():
         parse_orbit('{"points": []}')
 
 
+NESTED = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_matrix, '{"n": %s}' % NESTED),
+        (parse_matrix, '{"n": 1, "rows": %s}' % NESTED),
+        (parse_seq, '{"n": 2, "indices": %s}' % NESTED),
+        (parse_orbit, '{"orbit": %s}' % NESTED),
+    ],
+)
+def test_parsers_refuse_deeply_nested_json(parse, text):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse(text)
+
+
+def test_malformed_json_keeps_its_decode_error():
+    with pytest.raises(json.JSONDecodeError):
+        parse_matrix('{"n": 2,')
+
+
 # -- the digit cap on parsed points ------------------------------------------------------
 
 

@@ -16,7 +16,8 @@ from katolab import (
     left_fixed_lattice,
     left_kernel_lattice,
 )
-from katolab.intmat import mat_vec, vec_mat
+from katolab._limits import ResourceLimitError
+from katolab.intmat import vec_mat
 
 matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -65,18 +66,15 @@ def test_shape_accessors():
     assert not a.is_square
     with pytest.raises(ValueError):
         a.n
-    assert a.row(0) == (1, 2, 3)
     assert a.col(2) == (3, 6)
-    assert a.entry(1, 1) == 5
     assert a.transpose().rows == ((1, 4), (2, 5), (3, 6))
 
 
 def test_identity_zero_columns():
     assert IntMatrix.identity(2).rows == ((1, 0), (0, 1))
-    assert IntMatrix.zero(2, 3).rows == ((0, 0, 0), (0, 0, 0))
     assert IntMatrix.from_columns([(1, 2), (3, 4)]).rows == ((1, 3), (2, 4))
     assert IntMatrix.identity(3).is_identity()
-    assert not IntMatrix.zero(2, 2).is_identity()
+    assert not IntMatrix([[0, 0], [0, 0]]).is_identity()
 
 
 def test_arithmetic():
@@ -84,7 +82,6 @@ def test_arithmetic():
     b = IntMatrix([[0, 1], [1, 0]])
     assert (a + b).rows == ((1, 3), (4, 4))
     assert (a - b).rows == ((1, 1), (2, 4))
-    assert (-a).rows == ((-1, -2), (-3, -4))
     assert (a * b).rows == ((2, 1), (4, 3))
     assert (a * 2).rows == ((2, 4), (6, 8))
     assert (2 * a).rows == ((2, 4), (6, 8))
@@ -94,10 +91,18 @@ def test_arithmetic():
     assert a.trace() == 5
 
 
+def test_scalar_product_is_guarded(monkeypatch):
+    monkeypatch.setenv("KATOLAB_DIGIT_CAP", "5")
+    assert (IntMatrix([[10**3]]) * 10**2).rows == ((10**5,),)
+    with pytest.raises(ResourceLimitError, match="matrix entry exceeds 5 decimal digits"):
+        IntMatrix([[10**4]]) * 10**4
+    with pytest.raises(ResourceLimitError):
+        10**4 * IntMatrix([[10**4]])
+
+
 def test_vector_products():
     a = IntMatrix([[1, 2], [3, 4]])
     assert vec_mat((1, 1), a) == (4, 6)
-    assert mat_vec(a, (1, 1)) == (3, 7)
     with pytest.raises(ValueError):
         vec_mat((1, 1, 1), a)
 

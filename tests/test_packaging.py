@@ -1,7 +1,9 @@
 """The package as a user meets it: no third-party module at run time, and a
 README quick tour and research scripts that run as written."""
 
+import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -32,6 +34,22 @@ finally:
     )
     print("third-party:", extra, file=sys.stderr)
 """
+
+
+def test_traced_benchmark_targets_resolve():
+    """Every function the traced benchmark run wraps still exists under its name."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for module, qualname, _ in targets:
+        obj = importlib.import_module(f"katolab.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, qualname)
 
 
 def test_runs_without_any_third_party_module():

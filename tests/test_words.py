@@ -10,6 +10,7 @@ from katolab import (
     KatoRecognitionError,
     NotAProduct,
     NotKato,
+    ResourceLimitError,
     compose_factors,
     cyclic_normal_form,
     elementary,
@@ -109,6 +110,36 @@ def test_compose_frozen():
         (0, 0, 1),
         (0, 1, 2),
     )
+
+
+def reference_compose(seq: FactorSeq) -> IntMatrix:
+    """The dense product of the word's elementary factors, left to right."""
+    out = elementary(seq.n, seq.indices[0])
+    for j in seq.indices[1:]:
+        out = out * elementary(seq.n, j)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=14))
+    )
+)
+def test_compose_matches_the_dense_product(args):
+    seq = FactorSeq(args[0], tuple(args[1]))
+    assert compose_factors(seq) == reference_compose(seq)
+
+
+def test_compose_guards_each_new_column(monkeypatch):
+    monkeypatch.setenv("KATOLAB_DIGIT_CAP", "5")
+    assert compose_factors(FactorSeq(2, (1, 2) * 13)).rows == ((13860, 33461), (33461, 80782))
+    long_word = FactorSeq(2, (1, 2) * 14)  # its last column passes 2**17
+    with pytest.raises(ResourceLimitError) as got:
+        compose_factors(long_word)
+    with pytest.raises(ResourceLimitError) as want:
+        reference_compose(long_word)
+    assert str(got.value) == str(want.value)
 
 
 # -- factorization ------------------------------------------------------------------
@@ -282,6 +313,8 @@ def test_determinant_is_read_from_the_word(args):
         return
     a = compose_factors(seq)
     assert recognize(a).det == a.det()
+    # perron_data's 2x2 surd reads the block's determinant from the word
+    assert recognize(a).det == recognize(a).form.b.det()
 
 
 def test_factorize_accepts_pure_powers():
@@ -429,10 +462,9 @@ def test_erase_index_word_law():
         a = compose_factors(seq)
         for j in range(1, l + 1):
             erased = erase_index(a, j)
-            expected = compose_factors(
-                FactorSeq(seq.n - 1, tuple(i - 1 for i in seq.indices))
-            )
-            assert erased == expected
+            lowered = FactorSeq(seq.n - 1, tuple(i - 1 for i in seq.indices))
+            assert erased == compose_factors(lowered)
+            assert factorize(erased) == lowered
         checked += 1
 
 
