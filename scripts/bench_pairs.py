@@ -17,7 +17,10 @@ side and workload (on the first seed) adds the per-layer counts in
 Writes ``BENCH_<label>.json`` at the root of the repository: per workload and
 end-to-end metric each side's median and quartiles, how many pairs the change
 won, the change's median over the parent's, every pair's raw values and the
-traced layer metrics, also per op.
+traced layer metrics, also per op.  It also records each run's wall-clock
+seconds with each side's median per workload, and the bytecode condition:
+``sys.dont_write_bytecode`` and whether the exports held ``__pycache__`` after
+the runs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,19 +85,26 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run; returns its metric values by name."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, float]:
+    """One ``perfbench/run.py`` run; returns its metric values by name and its wall-clock seconds.
+
+    The wall time exceeds the run length by what ``run.py`` leaves out of its
+    op time: generating the seeded references, checking every answer and the
+    set-up probes.
+    """
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{workload} seed {seed} in {checkout}: {result['failed']} failed ops or a wrong answer")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, wall
 
 
 def per_op(layers: dict, ops: float) -> dict:
@@ -161,24 +172,35 @@ def main(argv=None) -> int:
             pairs = []
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0]}
+                pair = {"seed": seed, "first": order[0], "wall_s": {}}
                 for side in order:
-                    pair[side] = run_bench(checkouts[side], workload, seed, seconds, trace=0)
+                    pair[side], pair["wall_s"][side] = run_bench(checkouts[side], workload, seed, seconds, trace=0)
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {pair[side]['ops_per_s']:.2f} ops/s" for side in SIDES
                 ), file=sys.stderr)
-            traced, traced_per_op = {}, {}
+            traced, traced_per_op, traced_wall_s = {}, {}, {}
             for side in SIDES:
-                layers = run_bench(checkouts[side], workload, args.seeds[0], seconds, trace=1)
+                layers, traced_wall_s[side] = run_bench(checkouts[side], workload, args.seeds[0], seconds, trace=1)
                 traced[side] = {name: layers[name] for name in LAYERS}
                 traced_per_op[side] = per_op(traced[side], traced[side][OPS_LAYER[workload]])
             report["workloads"][workload] = {
                 "summary": summarize(pairs, bench["end_to_end"]),
+                "median_wall_s": {side: statistics.median(p["wall_s"][side] for p in pairs) for side in SIDES},
                 "traced": traced,
+                "traced_wall_s": traced_wall_s,
                 "traced_per_op": traced_per_op,
                 "pairs": pairs,
             }
+        # Each export starts without bytecode, since git archive leaves out
+        # ``__pycache__``; whether the runs wrote some decides whether every
+        # set-up probe compiled the sources.
+        report["bytecode"] = {
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "pycache_in_exports_after_runs": {
+                side: any(checkouts[side].rglob("__pycache__")) for side in SIDES
+            },
+        }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)

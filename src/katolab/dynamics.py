@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Literal, Optional
 
+from ._frozen import frozen
 from ._limits import bit_cap, guard_int, limit_error
 from .gaussrat import GaussianRational, Point
 from .intmat import IntMatrix, characteristic_polynomial
@@ -154,7 +154,7 @@ def contracts_unit_ball(a: IntMatrix) -> bool:
     return not all(j == seq.n for j in seq.indices[1:])
 
 
-@dataclass(frozen=True)
+@frozen
 class ContractionReport:
     """Outcome of an exact sampled contraction certificate."""
 
@@ -303,7 +303,7 @@ def sample_torus_points(n: int, count: int, seed: int) -> list[Point]:
 # -- Perron data --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class QuadraticSurd:
     """Exact value ``rational + coefficient * sqrt(radicand)``."""
 
@@ -334,7 +334,7 @@ def _reduce_radicand(m: int) -> tuple[int, int]:
     return m, extracted
 
 
-@dataclass(frozen=True)
+@frozen
 class PerronData:
     """Dominant eigendata of the lower block, with an exact enclosure of the root."""
 
@@ -449,7 +449,7 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
 # -- stable set and fundamental domain ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class MembershipResult:
     """Outcome of the forward-orbit membership scan."""
 

@@ -16,10 +16,10 @@ Three independent routes into the same geometry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._frozen import frozen
 from .dynamics import root_of_unity_check
 from .intmat import IntMatrix, left_kernel_lattice, vec_mat
 from .laurent import SparseLaurentPoly, iter_monomials
@@ -27,7 +27,7 @@ from .linsys import system_nullity, system_rank
 from .words import Recognized, recognize
 
 
-@dataclass(frozen=True)
+@frozen
 class MonomialVectorField:
     """A vector field with one Laurent-polynomial coefficient per coordinate."""
 
@@ -256,7 +256,7 @@ def one_form_nullity(a: IntMatrix | Recognized, degree: int) -> int:
 # -- advisory ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class FunctionTheoryNote:
     """Whether the no-nonconstant-functions criterion applies to ``a``."""
 

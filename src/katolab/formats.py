@@ -12,7 +12,8 @@ JSON forms
 
 Parsers sniff a leading ``{`` to pick the JSON reading and raise
 ``ValueError`` with a human-readable message on malformed input, JSON
-nested past the interpreter's recursion limit included.  Numbers
+nested past the interpreter's recursion limit included; a message echoes
+at most 60 characters of the input.  Numbers
 longer than ``KATOLAB_DIGIT_CAP`` allows are refused before they are
 converted, and parsed values pass through the same guard as computed ones.
 """
@@ -31,6 +32,13 @@ from .intmat import IntMatrix
 from .words import FactorSeq
 
 _DIGIT_RUN = re.compile(r"[0-9]+")
+_ECHO_CHARS = 60
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut after 60 characters with a trailing ``…``."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 def _refuse_long_numbers(text: str, context: str) -> None:
@@ -57,13 +65,13 @@ def _entry(text: str) -> int:
     try:
         value = int(text.strip())
     except ValueError:
-        raise ValueError(f"not an integer entry: {text.strip()!r}") from None
+        raise ValueError(f"not an integer entry: {_echo(text.strip())}") from None
     return guard_int(value, "matrix entry")
 
 
 def _json_entry(e) -> int:
     if isinstance(e, bool) or not isinstance(e, int):
-        raise ValueError(f"not an integer entry: {e!r}")
+        raise ValueError(f"not an integer entry: {_echo(e)}")
     return guard_int(e, "matrix entry")
 
 
@@ -122,7 +130,7 @@ def parse_seq(text: str) -> FactorSeq:
     else:
         m = _SEQ_RE.match(text)
         if m is None:
-            raise ValueError(f"not a factor sequence (expected like n=3:[2,3]): {text!r}")
+            raise ValueError(f"not a factor sequence (expected like n=3:[2,3]): {_echo(text)}")
         n = int(m.group(1))
         inner = m.group(2).strip()
         if not inner:
@@ -153,7 +161,7 @@ def parse_complex(text: str) -> GaussianRational:
         raise ValueError("empty complex entry")
     _refuse_long_numbers(raw, "point coordinate")
     if "e" in raw.lower():  # Fraction would expand an exponent before any digit cap applies
-        raise ValueError(f"not a complex rational: {text.strip()!r}")
+        raise ValueError(f"not a complex rational: {_echo(text.strip())}")
     try:
         if not raw.endswith("i"):
             return GaussianRational(Fraction(raw))
@@ -172,7 +180,7 @@ def parse_complex(text: str) -> GaussianRational:
             im_part = Fraction(im_text)
         re_part = Fraction(re_text) if re_text else Fraction(0)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a complex rational: {text.strip()!r}") from None
+        raise ValueError(f"not a complex rational: {_echo(text.strip())}") from None
     parts = (re_part.numerator, re_part.denominator, im_part.numerator, im_part.denominator)
     guard_int(max(map(abs, parts)), "point coordinate")
     return GaussianRational(re_part, im_part)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from ._frozen import frozen
 from ._limits import guard_int
 
 Row = tuple[int, ...]
@@ -301,7 +301,7 @@ def hermite_normal_form(
 # -- lattices ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeBasis:
     """Canonical basis (Hermite-reduced rows) of a sublattice of Z^ambient_dim.
 

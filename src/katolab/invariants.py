@@ -12,9 +12,9 @@ also re-checks the proven consistency relations between the pieces and raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Optional
 
+from ._frozen import frozen
 from .dynamics import perron_data
 from .formats import format_matrix_text
 from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice, lattice_index, vec_mat
@@ -107,7 +107,7 @@ def verify_J0_relation(form: StandardForm) -> bool:
     return all(j0b[t] - 1 == scale * form.line[t] for t in range(nl))
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantMonomial:
     """A Laurent monomial fixed by the germ: exponents plus display string."""
 
@@ -140,7 +140,7 @@ def invariant_monomials(a: IntMatrix | Recognized) -> list[InvariantMonomial]:
 # -- dimension estimates ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DimensionValue:
     """An exact value, a lower bound, or a two-sided bound."""
 
@@ -203,7 +203,7 @@ def alg_dim(a: IntMatrix | Recognized) -> DimensionValue:
 # -- canonical bundle ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CanonicalData:
     descriptor: str
     kodaira: str
@@ -231,7 +231,7 @@ def canonical_descriptor(a: IntMatrix | Recognized) -> CanonicalData:
 # -- full report -----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SemidirectGroup:
     """Presentation of the complement fundamental group."""
 
@@ -242,7 +242,7 @@ class SemidirectGroup:
         return {"group": self.group, "action_matrix": self.action_matrix.to_rows()}
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantReport:
     n: int
     k: int

@@ -13,10 +13,10 @@ determinant follow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._frozen import frozen
 from ._limits import digit_cap, guard_int, limit_error
 from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice
 
@@ -66,7 +66,7 @@ def column_precedes(v: Sequence[int], w: Sequence[int]) -> bool:
 # -- words ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class FactorSeq:
     """A word of elementary factors: dimension ``n``, 1-based indices."""
 
@@ -193,7 +193,7 @@ def type_of(a: IntMatrix | Recognized) -> int:
     return recognize(a).l
 
 
-@dataclass(frozen=True)
+@frozen
 class StandardForm:
     """Block data ``[[I_l, G], [0, B]]`` of a Kato matrix.
 
@@ -221,7 +221,7 @@ class StandardForm:
         return IntMatrix(rows)
 
 
-@dataclass(frozen=True)
+@frozen
 class Recognized:
     """A Kato matrix and its factor word; each value derived below is computed once, on first use."""
 

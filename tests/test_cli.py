@@ -350,6 +350,22 @@ def test_malformed_orbit_dump_is_refused(capsys, dump):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("factor", '{"n": 1, "rows": [[%s]]}' % ("[" * 400 + "]" * 400)), "not an integer entry"),
+        (("factor", "1," + "x" * 5000 + ";0,1"), "not an integer entry"),
+        (("compose", "n=3:[" + "x" * 5000 + "]"), "not a factor sequence"),
+        (("dynamics", "1,2;2,5", "--action", "map", "--point", "x" * 5000 + "+0i;1+0i"), "not a complex rational"),
+        (("dynamics", "1,2;2,5", "--action", "map", "--point", "1e" + "x" * 5000 + ";1+0i"), "not a complex rational"),
+    ],
+)
+def test_error_line_echoes_a_bounded_part_of_the_input(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err.startswith(f"error: {message}") and err.endswith("…\n") and len(err) < 120
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("factor", '{"n": ' + NESTED + "}"),

@@ -17,11 +17,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Runs ``python -m katolab`` with numpy made unimportable (and, with -S, no
 # site-packages), then lists every loaded module outside the standard library
-# and the package itself.
+# and the package itself.  Before the run it lists which of the heavy standard
+# modules that ``import katolab`` no longer needs were loaded by it.
 NO_THIRD_PARTY = """
 import runpy, sys
 sys.modules["numpy"] = None
 import katolab
+print("start-up:", sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
 sys.argv = ["katolab", "invariants", "1,0,2;0,0,1;0,1,2"]
 try:
     runpy.run_module("katolab", run_name="__main__")
@@ -60,6 +62,7 @@ def test_runs_without_any_third_party_module():
     assert proc.returncode == 0, proc.stderr
     assert "perron_alpha: " in proc.stdout
     assert "third-party: []" in proc.stderr
+    assert "start-up: []" in proc.stderr
 
 
 def test_readme_quick_tour_runs():
