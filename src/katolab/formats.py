@@ -13,9 +13,9 @@ JSON forms
 Parsers sniff a leading ``{`` to pick the JSON reading and raise
 ``ValueError`` with a human-readable message on malformed input, JSON
 nested past the interpreter's recursion limit included; a message echoes
-at most 60 characters of the input.  Numbers
-longer than ``KATOLAB_DIGIT_CAP`` allows are refused before they are
-converted, and parsed values pass through the same guard as computed ones.
+at most 60 characters of the input.  Numbers longer than
+``KATOLAB_DIGIT_CAP`` allows are refused before they are converted, and
+parsed values pass through the same guard as computed ones.
 """
 
 from __future__ import annotations
