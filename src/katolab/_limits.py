@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+from contextlib import contextmanager
 
 DEFAULT_DIGIT_CAP = 100_000
 ENV_VAR = "KATOLAB_DIGIT_CAP"
@@ -56,3 +58,18 @@ def guard_int(value: int, context: str = "value") -> int:
     if value.bit_length() > bit_cap():
         raise limit_error(context)
     return value
+
+
+@contextmanager
+def cap_str_digits():
+    """Let every integer under the digit cap convert to and from ``str``.
+
+    Raises Python's int-to-str conversion limit past the cap (never below its
+    default threshold) and restores the previous limit on exit.
+    """
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max(digit_cap() + 1, sys.int_info.str_digits_check_threshold))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import formats
-from ._limits import ENV_VAR, ResourceLimitError, digit_cap
+from ._limits import ENV_VAR, ResourceLimitError, cap_str_digits
 from .dynamics import (
     DEFAULT_MAX_ITER,
     certify_ball12_contraction,
@@ -413,11 +413,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
-    str_digits = sys.get_int_max_str_digits()
     try:
-        # Every integer under the digit cap must read and print, however long.
-        sys.set_int_max_str_digits(max(digit_cap() + 1, sys.int_info.str_digits_check_threshold))
-        return args.handler(args)
+        with cap_str_digits():  # every integer under the cap reads and prints
+            return args.handler(args)
     except KatoRecognitionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOT_KATO
@@ -427,8 +425,6 @@ def run(argv: list[str]) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    finally:
-        sys.set_int_max_str_digits(str_digits)
 
 
 def main() -> None:

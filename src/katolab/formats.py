@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 from typing import Sequence
 
-from ._limits import digit_cap, guard_int, limit_error
+from ._limits import cap_str_digits, digit_cap, guard_int, limit_error
 from .gaussrat import GaussianRational, Point
 from .intmat import IntMatrix
 from .words import FactorSeq
@@ -196,12 +195,8 @@ def format_complex(z: GaussianRational) -> str:
     try:
         return _complex_text(z)
     except ValueError:  # a part past Python's int-to-str conversion limit
-        str_digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(max(digit_cap() + 1, sys.int_info.str_digits_check_threshold))
-        try:
+        with cap_str_digits():
             return _complex_text(z)
-        finally:
-            sys.set_int_max_str_digits(str_digits)
 
 
 def parse_point(text: str) -> Point:

@@ -248,8 +248,8 @@ class InvariantReport:
     k: int
     l: int
     rank_r: int
-    betti: list[int]
-    twisted_betti: list[int]
+    betti: tuple[int, ...]
+    twisted_betti: tuple[int, ...]
     euler: int
     m1: int
     kA_basis: LatticeBasis
@@ -276,8 +276,8 @@ class InvariantReport:
             "k": self.k,
             "l": self.l,
             "rank_r": self.rank_r,
-            "betti": self.betti,
-            "twisted_betti": self.twisted_betti,
+            "betti": list(self.betti),
+            "twisted_betti": list(self.twisted_betti),
             "euler": self.euler,
             "m1": self.m1,
             "kA_basis": self.kA_basis.to_json(),
@@ -345,8 +345,8 @@ def build_report(a: IntMatrix | Recognized) -> InvariantReport:
         k=k,
         l=l,
         rank_r=r,
-        betti=betti,
-        twisted_betti=twisted,
+        betti=tuple(betti),
+        twisted_betti=tuple(twisted),
         euler=euler,
         m1=m1,
         kA_basis=ka,

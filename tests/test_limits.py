@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from katolab import ResourceLimitError
-from katolab._limits import DEFAULT_DIGIT_CAP, ENV_VAR, bit_cap, digit_cap, guard_int
+from katolab._limits import DEFAULT_DIGIT_CAP, ENV_VAR, bit_cap, cap_str_digits, digit_cap, guard_int
 
 
 def test_default_cap(monkeypatch):
@@ -31,3 +33,15 @@ def test_guard_passes_through(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     assert guard_int(-(10**20), "big negative") == -(10**20)
     assert guard_int(0) == 0
+
+
+def test_cap_str_digits_raises_the_conversion_limit_and_restores_it(monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    before = sys.get_int_max_str_digits()
+    with cap_str_digits():
+        assert sys.get_int_max_str_digits() > DEFAULT_DIGIT_CAP
+        assert len(str(10**DEFAULT_DIGIT_CAP)) == DEFAULT_DIGIT_CAP + 1
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(KeyError), cap_str_digits():
+        raise KeyError("restored on the way out")
+    assert sys.get_int_max_str_digits() == before

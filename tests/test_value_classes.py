@@ -60,7 +60,7 @@ FACTORIES = {
     InvariantReport: lambda: build_report(parse_matrix(A23)),
 }
 CLASSES = list(FACTORIES)
-UNHASHABLE = {MonomialVectorField, InvariantReport}  # Laurent polynomials and lists
+UNHASHABLE = {MonomialVectorField}  # Laurent polynomials
 
 
 def field_names(cls) -> list[str]:
@@ -150,3 +150,13 @@ def test_recognized_computes_each_value_once(monkeypatch):
         assert name in vars(rec)
         assert getattr(rec, name) is first
     assert len(calls) == 1
+
+
+def test_invariant_report_json_is_a_copy():
+    report = build_report(parse_matrix(A23))
+    record = report.to_json()
+    record["betti"].append(99)
+    record["twisted_betti"].clear()
+    assert report.betti == (1, 1, 2, 0, 2, 1, 1)
+    assert report.twisted_betti == (0, 0, 2, 0, 2, 0, 0)
+    assert report.to_json() == build_report(parse_matrix(A23)).to_json()
