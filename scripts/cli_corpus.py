@@ -11,10 +11,16 @@ every subcommand, every ``dynamics`` action, both output formats, inline,
 Every call runs under ``KATOLAB_DIGIT_CAP=2000`` and ``COLUMNS=80``
 (argparse wraps its usage lines to the terminal width), in a fresh temporary
 directory that holds the call's input files.  ``tests/test_cli_corpus.py``
-replays the corpus through :func:`invoke`.  Regenerate the corpus only when
-an output changes on purpose, and list the lines that changed:
+replays the corpus through :func:`invoke` and compares by :func:`mismatch`:
+byte for byte, except an invariant report's ``perron_alpha``, a float that
+is compared within 1e-9 relative.
 
-    PYTHONPATH=src python3 scripts/cli_corpus.py
+    PYTHONPATH=src python3 scripts/cli_corpus.py            # write it anew
+    PYTHONPATH=src python3 scripts/cli_corpus.py --changed  # rewrite changed lines
+
+Regenerate only when an output changes on purpose.  ``--changed`` keeps every
+line that still matches and prints the number and argv of each line it
+rewrites, so the change can list them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -68,6 +75,30 @@ def invoke(case: dict) -> dict:
         finally:
             sys.stdin = stdin
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+# ``perron_alpha: 2.4142135623730954`` in text, ``"perron_alpha":2.41...`` in JSON
+_ALPHA = re.compile(r'(perron_alpha"?: ?)([^,}\s]+)')
+
+
+def _split_alpha(text: str) -> tuple[str, list[float]]:
+    return _ALPHA.sub(r"\1*", text), [float(m.group(2)) for m in _ALPHA.finditer(text)]
+
+
+def mismatch(want: dict, got: dict) -> str | None:
+    """How ``got`` differs from the recorded ``want``, or None if it matches."""
+    if got["code"] != want["code"]:
+        return f"exit code {got['code']} != {want['code']}"
+    if got["stderr"] != want["stderr"]:
+        return f"stderr {got['stderr'][:200]!r} != {want['stderr'][:200]!r}"
+    got_text, got_alphas = _split_alpha(got["stdout"])
+    want_text, want_alphas = _split_alpha(want["stdout"])
+    if got_text != want_text or len(got_alphas) != len(want_alphas):
+        return f"stdout {got['stdout'][:200]!r} != {want['stdout'][:200]!r}"
+    for x, y in zip(got_alphas, want_alphas):
+        if abs(x - y) > 1e-9 * y:
+            return f"perron_alpha {x!r} != {y!r}"
+    return None
 
 
 def _words(rng: random.Random) -> list[FactorSeq]:
@@ -187,11 +218,24 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=18)
     parser.add_argument("--out", type=Path, default=CORPUS)
+    parser.add_argument("--changed", action="store_true", help="rewrite only the lines that no longer match")
     args = parser.parse_args()
-    with args.out.open("w", encoding="utf-8") as fh:
-        for case in build(args.seed):
-            record = {**case, **invoke(case)}
-            fh.write(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n")
+    if args.changed:
+        lines = args.out.read_text(encoding="utf-8").splitlines()
+        cases = [json.loads(line) for line in lines]
+    else:
+        lines, cases = [], build(args.seed)
+    out = []
+    for number, case in enumerate(cases, 1):
+        got = invoke(case)
+        if args.changed and mismatch(case, got) is None:
+            out.append(lines[number - 1])
+            continue
+        if args.changed:
+            print(number, case["argv"][:6])
+        case = {k: v for k, v in case.items() if k not in got}
+        out.append(json.dumps({**case, **got}, ensure_ascii=True, sort_keys=True))
+    args.out.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

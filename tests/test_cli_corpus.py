@@ -10,35 +10,12 @@ is compared within 1e-9 relative, the rule of
 
 import importlib.util
 import json
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("cli_corpus", ROOT / "scripts" / "cli_corpus.py")
 cli_corpus = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_corpus)
-
-# ``perron_alpha: 2.4142135623730954`` in text, ``"perron_alpha":2.41...`` in JSON
-ALPHA = re.compile(r'(perron_alpha"?: ?)([^,}\s]+)')
-
-
-def _split_alpha(text: str) -> tuple[str, list[float]]:
-    return ALPHA.sub(r"\1*", text), [float(m.group(2)) for m in ALPHA.finditer(text)]
-
-
-def _mismatch(want: dict, got: dict) -> str | None:
-    if got["code"] != want["code"]:
-        return f"exit code {got['code']} != {want['code']}"
-    if got["stderr"] != want["stderr"]:
-        return f"stderr {got['stderr'][:200]!r} != {want['stderr'][:200]!r}"
-    got_text, got_alphas = _split_alpha(got["stdout"])
-    want_text, want_alphas = _split_alpha(want["stdout"])
-    if got_text != want_text or len(got_alphas) != len(want_alphas):
-        return f"stdout {got['stdout'][:200]!r} != {want['stdout'][:200]!r}"
-    for x, y in zip(got_alphas, want_alphas):
-        if abs(x - y) > 1e-9 * y:
-            return f"perron_alpha {x!r} != {y!r}"
-    return None
 
 
 def test_cli_output_matches_golden_corpus():
@@ -47,7 +24,7 @@ def test_cli_output_matches_golden_corpus():
     failures = []
     for number, line in enumerate(lines, 1):
         want = json.loads(line)
-        problem = _mismatch(want, cli_corpus.invoke(want))
+        problem = cli_corpus.mismatch(want, cli_corpus.invoke(want))
         if problem is not None:
             failures.append(f"line {number} {want['argv'][:6]}: {problem}")
     assert not failures, f"{len(failures)} of {len(lines)} lines changed:\n" + "\n".join(failures[:10])
