@@ -6,9 +6,10 @@ coordinate is the product of ``z_t`` raised to the row-``s`` exponents, so
 the squared moduli ``r_t = |z_t|**2`` map by ``r_s <- prod_t r_t**a_st``.
 All set membership tests here (balls, stable set, fundamental domain) depend
 on the squared moduli alone and are decided on them in exact integer
-arithmetic; the only floating-point code is the power iteration behind
-:func:`perron_data`, whose result is certified by an exact rational
-enclosure of the Perron root.
+arithmetic.  :func:`perron_data` finds the Perron root by integer power steps
+and certifies it by an exact rational enclosure; floats appear only in the
+values it reports (the root nearest the enclosure's midpoint, the unit
+vector and its residuals).
 """
 
 from __future__ import annotations
@@ -363,8 +364,6 @@ class PerronData:
 
 
 _PERRON_ITER_CAP = 20_000
-_FLOAT_NOISE = 2.0**-40  # relative step of a float vector that has settled
-_PERRON_STALLS = 16  # settled exact checks in a row that leave the enclosure no narrower
 
 
 def _rows_times(rows, v: list) -> list:
@@ -374,16 +373,20 @@ def _rows_times(rows, v: list) -> list:
 def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     """Certified dominant eigenvalue/eigenvector of the lower block.
 
-    Float power steps on the strictly positive power ``B**p`` (``p`` from
-    :func:`positivity_power`) settle a positive vector.  Scaled by a power of
-    two to an integer vector ``q`` that keeps all its bits, it bounds the
-    Perron root of ``B`` exactly: ``lo = min_i (Bq)_i/q_i <= alpha <=
-    max_i (Bq)_i/q_i = hi`` (Collatz-Wielandt; Meyer, *Matrix Analysis*, 8.3).
-    Steps go on until ``lo > 1`` and ``hi - lo <= tol * lo`` in exact
-    rationals, so ``tol`` is the relative width of ``enclosure``;
-    ``ArithmeticError`` means float64 cannot certify that width.  ``alpha`` is
-    the float nearest the midpoint (the enclosure widens to hold it when no
-    float lies inside).  Residuals of the unit ``vector`` are only reported.
+    Integer power steps on the strictly positive power ``B**p`` (``p`` from
+    :func:`positivity_power`) set ``q <- (B**p q) >> s``, where the shift keeps
+    the top ``max(64, 16 - e)`` bits of ``min(q)`` (``e`` the binary exponent
+    of ``tol``).  No entry of ``B**p q`` falls below ``min(q)``, so ``q`` stays
+    positive.  Each step bounds the Perron root of ``B`` exactly: ``lo =
+    min_i (Bq)_i/q_i <= root <= max_i (Bq)_i/q_i = hi`` (Collatz-Wielandt;
+    Meyer, *Matrix Analysis*, 8.3).  Steps stop once ``lo > 1`` and ``hi - lo
+    <= tol * lo``, so ``tol`` is the relative width of ``enclosure``, for any
+    positive ``tol``; ``ArithmeticError`` means ``_PERRON_ITER_CAP`` steps did
+    not get there.  ``alpha`` is the float nearest the midpoint.  The
+    enclosure widens to hold ``alpha`` when the wider interval still meets
+    ``tol``, so ``alpha`` lies inside it unless ``tol`` is below the float
+    spacing at the root.  The unit ``vector`` and its residuals are only
+    reported.
 
     For 2x2 blocks the dominant eigenvalue of ``B`` itself is also returned
     exactly, as a quadratic surd: with trace t and determinant d it is
@@ -395,32 +398,35 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     rec = recognize(a)
     b = rec.form.b
     p, bp = rec.positive_power
+    tol_num, tol_den = tol.as_integer_ratio()
+    bits = max(64, 16 - math.frexp(tol)[1])
 
-    v = [1.0] * b.n
-    its, narrowest, stalls = 0, math.inf, 0
-    while its < _PERRON_ITER_CAP and stalls < _PERRON_STALLS:
-        its += 1
-        w = _rows_times(bp.rows, v)
-        top = max(w)
-        w = [x / top for x in w]
-        moved = max(abs(x - y) / x for x, y in zip(w, v))
-        v = w
-        if moved > max(tol, _FLOAT_NOISE):
-            continue  # still moving: no exact bounds yet
-        shift = 53 - math.frexp(min(v))[1]
-        q = [int(math.ldexp(x, shift)) for x in v]  # exact: min(q) lies in [2**52, 2**53)
-        if min(q) <= 0:
-            raise RuntimeError("internal: Perron vector is not positive")
-        ratios = [Fraction(y, x) for x, y in zip(q, _rows_times(b.rows, q))]
-        alpha = float((min(ratios) + max(ratios)) / 2)
-        lo, hi = min(*ratios, Fraction(alpha)), max(*ratios, Fraction(alpha))
-        if lo > 1 and hi - lo <= Fraction(tol) * lo:
+    q = [1] * b.n
+    for its in range(1, _PERRON_ITER_CAP + 1):
+        w = _rows_times(bp.rows, q)
+        shift = max(0, min(w).bit_length() - bits)
+        q = [x >> shift for x in w]
+        bq = _rows_times(b.rows, q)
+        i = j = 0  # where the ratio (Bq)_i/q_i is least, and greatest
+        for k in range(1, len(q)):
+            if bq[k] * q[i] < bq[i] * q[k]:
+                i = k
+            elif bq[k] * q[j] > bq[j] * q[k]:
+                j = k
+        width = bq[j] * q[i] - bq[i] * q[j]  # (hi - lo) * q_i * q_j
+        if bq[i] > q[i] and width * tol_den <= tol_num * bq[i] * q[j]:
             break
-        stalls = 0 if hi - lo < narrowest or moved > _FLOAT_NOISE else stalls + 1
-        narrowest = min(narrowest, hi - lo)
     else:
-        raise ArithmeticError(f"tolerance {tol!r} is below what float64 power steps can certify")
+        raise ArithmeticError(f"tolerance {tol!r} not reached in {_PERRON_ITER_CAP} power steps")
 
+    lo, hi = Fraction(bq[i], q[i]), Fraction(bq[j], q[j])
+    alpha = float((lo + hi) / 2)
+    wide_lo, wide_hi = min(lo, Fraction(alpha)), max(hi, Fraction(alpha))
+    if wide_hi - wide_lo <= Fraction(tol) * wide_lo:
+        lo, hi = wide_lo, wide_hi
+
+    top = max(q)
+    v = [x / top for x in q]
     norm = math.hypot(*v)
     f = [x / norm for x in v]
     residual = max(abs(y - alpha * x) for x, y in zip(f, _rows_times(b.rows, f)))

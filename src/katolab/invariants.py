@@ -2,11 +2,13 @@
 
 Everything is assembled exactly from the factor word, the block structure,
 and integer lattice computations; the only float in the report is the Perron
-root, certified by an exact rational enclosure.  ``build_report`` recognizes
-the matrix once and hands the ``Recognized`` value, which computes ``m1``, the
-fixed lattice and the positivity power once each, to every invariant.  It
-also re-checks the proven consistency relations between the pieces and raises
-``RuntimeError`` if any fails (an internal bug, not bad input).
+root: the float nearest the midpoint of an exact rational enclosure of
+relative width 1e-10 (see :func:`katolab.dynamics.perron_data`).
+``build_report`` recognizes the matrix once and hands the ``Recognized``
+value, which computes ``m1``, the fixed lattice and the positivity power once
+each, to every invariant.  It also re-checks the proven consistency
+relations between the pieces and raises ``RuntimeError`` if any fails (an
+internal bug, not bad input).
 """
 
 from __future__ import annotations

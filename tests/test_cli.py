@@ -319,8 +319,10 @@ def test_dynamics_perron(capsys):
 
 
 def test_dynamics_perron_tolerance_beyond_float64(capsys):
-    code, _, err = invoke(capsys, "dynamics", "1,2;2,5", "--action", "perron", "--tol", "1e-30")
-    assert code == EXIT_BAD_INPUT and "1e-30" in err
+    code, out, _ = invoke(capsys, "dynamics", "1,2;2,5", "--action", "perron", "--tol", "1e-30", "--format", "json")
+    assert code == EXIT_OK
+    lo, hi = (Fraction(x) for x in json.loads(out)["enclosure"])
+    assert 1 < lo <= hi and hi - lo <= Fraction(1e-30) * lo
 
 
 def test_invariants_large_perron_root(capsys):

@@ -224,17 +224,41 @@ def test_perron_rejects():
         perron_data(B25, tol=0)
     with pytest.raises(NotKato):
         perron_data(IntMatrix([[1, 1], [0, 1]]))
-    with pytest.raises(ArithmeticError, match="tolerance 1e-30"):
-        perron_data(B25, tol=1e-30)  # narrower than float64 power steps resolve
 
 
-def _largest_real_root(rows) -> tuple[Fraction, Fraction]:
+def test_perron_step_cap(monkeypatch):
+    monkeypatch.setattr(katolab.dynamics, "_PERRON_ITER_CAP", 1)
+    with pytest.raises(ArithmeticError, match=r"tolerance 1e-10 not reached in 1 power steps"):
+        perron_data(B25)
+
+
+def _largest_real_root(rows, digits: int = 30) -> tuple[Fraction, Fraction]:
     """Isolating interval of the largest real root of ``det(x I - B)``, from
-    sympy's exact real-root isolation."""
+    sympy's exact real-root isolation, at most ``10**-digits`` wide."""
     x = sympy.Symbol("x")
     poly = sympy.Poly(sympy.Matrix(rows).charpoly(x).as_expr(), x)
-    (a, b), _ = poly.intervals(eps=sympy.Rational(1, 10**30))[-1]
+    (a, b), _ = poly.intervals(eps=sympy.Rational(1, 10**digits))[-1]
     return Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_perron_enclosure_below_float_spacing(digits):
+    """A tolerance far below float64 spacing is still certified: the enclosure
+    is that narrow and meets sympy's isolating interval of the root.  No float
+    lies inside so narrow an enclosure; ``alpha`` is the float nearest its
+    midpoint."""
+    tol = Fraction(float(f"1e-{digits}"))
+    rng = random.Random(43)
+    seqs = [FactorSeq(2, (1, 2)), *(random_factor_seq(rng) for _ in range(6))]
+    for seq in seqs:
+        rows = compose_factors(seq).to_rows()
+        l = min(seq.indices) - 1
+        data = perron_data(compose_factors(seq), tol=float(tol))
+        lo, hi = data.enclosure
+        assert 1 < lo <= hi and hi - lo <= tol * lo
+        assert abs(Fraction(data.alpha) - (lo + hi) / 2) <= Fraction(math.ulp(data.alpha))
+        ref_lo, ref_hi = _largest_real_root([r[l:] for r in rows[l:]], digits + 10)
+        assert lo <= ref_hi and ref_lo <= hi, f"enclosure of {seq} misses the root"
 
 
 def test_perron_enclosure_on_large_power_roots():
