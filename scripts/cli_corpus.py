@@ -36,6 +36,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from katolab import FactorSeq, compose_factors
 from katolab.cli import run
@@ -47,25 +48,11 @@ WORDS = 28
 OVER_CAP = "1" + "0" * 2001  # one digit more than the cap allows
 
 
-@contextlib.contextmanager
-def _environ(values: dict):
-    saved = {k: os.environ.get(k) for k in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def invoke(case: dict) -> dict:
     """Run one case through ``cli.run``; return its exit code and output."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    with _environ(ENV), tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with mock.patch.dict(os.environ, ENV), tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, text in case.get("files", {}).items():
             Path(name).write_text(text, encoding="utf-8")
         sys.stdin = io.StringIO(case.get("stdin", ""))
@@ -150,9 +137,7 @@ def _word_cases(rng: random.Random, i: int, seq: FactorSeq) -> list[dict]:
     ]
     out = []
     for fmt in ("text", "json"):
-        for head in runs:
-            case = {**source, "argv": [head[0], *source["argv"], *head[1:], "--format", fmt]}
-            out.append(case)
+        out += [{**source, "argv": [head[0], *source["argv"], *head[1:], "--format", fmt]} for head in runs]
         seq_text = format_seq_text(seq) if fmt == "text" else json.dumps(format_seq_json(seq))
         out.append({"argv": ["compose", seq_text, "--format", fmt]})
     return out
@@ -221,19 +206,17 @@ def main() -> None:
     parser.add_argument("--changed", action="store_true", help="rewrite only the lines that no longer match")
     args = parser.parse_args()
     if args.changed:
-        lines = args.out.read_text(encoding="utf-8").splitlines()
-        cases = [json.loads(line) for line in lines]
+        cases = [json.loads(line) for line in args.out.read_text(encoding="utf-8").splitlines()]
     else:
-        lines, cases = [], build(args.seed)
+        cases = build(args.seed)
     out = []
     for number, case in enumerate(cases, 1):
         got = invoke(case)
-        if args.changed and mismatch(case, got) is None:
-            out.append(lines[number - 1])
-            continue
         if args.changed:
-            print(number, case["argv"][:6])
-        case = {k: v for k, v in case.items() if k not in got}
+            if mismatch(case, got) is None:
+                got = {}  # keep the recorded output
+            else:
+                print(number, case["argv"][:6])
         out.append(json.dumps({**case, **got}, ensure_ascii=True, sort_keys=True))
     args.out.write_text("\n".join(out) + "\n", encoding="utf-8")
 

@@ -244,18 +244,18 @@ def _largest_real_root(rows, digits: int = 30) -> tuple[Fraction, Fraction]:
 @pytest.mark.parametrize("digits", [30, 100])
 def test_perron_enclosure_below_float_spacing(digits):
     """A tolerance far below float64 spacing is still certified: the enclosure
-    is that narrow and meets sympy's isolating interval of the root.  No float
-    lies inside so narrow an enclosure; ``alpha`` is the float nearest its
-    midpoint."""
-    tol = Fraction(float(f"1e-{digits}"))
+    is that narrow and meets sympy's isolating interval of the root.  So
+    narrow an enclosure rarely holds a float; ``alpha`` is the float nearest
+    its midpoint."""
+    tol = float(f"1e-{digits}")
     rng = random.Random(43)
     seqs = [FactorSeq(2, (1, 2)), *(random_factor_seq(rng) for _ in range(6))]
     for seq in seqs:
         rows = compose_factors(seq).to_rows()
         l = min(seq.indices) - 1
-        data = perron_data(compose_factors(seq), tol=float(tol))
+        data = perron_data(compose_factors(seq), tol=tol)
         lo, hi = data.enclosure
-        assert 1 < lo <= hi and hi - lo <= tol * lo
+        assert 1 < lo <= hi and hi - lo <= Fraction(tol) * lo
         assert abs(Fraction(data.alpha) - (lo + hi) / 2) <= Fraction(math.ulp(data.alpha))
         ref_lo, ref_hi = _largest_real_root([r[l:] for r in rows[l:]], digits + 10)
         assert lo <= ref_hi and ref_lo <= hi, f"enclosure of {seq} misses the root"
