@@ -381,8 +381,9 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     min_i (Bq)_i/q_i <= root <= max_i (Bq)_i/q_i = hi`` (Collatz-Wielandt;
     Meyer, *Matrix Analysis*, 8.3).  Steps stop once ``lo > 1`` and ``hi - lo
     <= tol * lo``, so ``tol`` is the relative width of ``enclosure``, for any
-    positive ``tol``; ``ArithmeticError`` means ``_PERRON_ITER_CAP`` steps did
-    not get there.  ``alpha`` is the float nearest the midpoint.  The
+    finite positive ``tol`` (any other raises ``ValueError``);
+    ``ArithmeticError`` means ``_PERRON_ITER_CAP`` steps did not get there.
+    ``alpha`` is the float nearest the midpoint.  The
     enclosure widens to hold ``alpha`` when the wider interval still meets
     ``tol``, so ``alpha`` lies inside it unless ``tol`` is below the float
     spacing at the root.  The unit ``vector`` and its residuals are only
@@ -393,6 +394,8 @@ def perron_data(a: IntMatrix | Recognized, tol: float = 1e-10) -> PerronData:
     ``(t + sqrt(t^2 - 4d)) / 2``, the larger real root, which is the spectral
     radius because ``t >= 0``.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     rec = recognize(a)

@@ -6,10 +6,20 @@ forms with unimodular witnesses (which also give inverses and lattice
 indices), and left fixed lattices; no rational arithmetic anywhere.  Matrices
 are immutable; sizes are small (a handful of rows), so clarity wins over
 asymptotics throughout.
+
+The public constructor ``IntMatrix(rows)`` checks its input: integer
+entries, equal row lengths, at least one row and one column.  The private
+``IntMatrix._of(rows)`` skips those checks.  It may be used only for results
+of exact integer arithmetic on matrices that are already valid (sums,
+differences, products, transposes, Hermite forms and their witnesses, and
+blocks cut from a valid matrix), and ``rows`` must then already be a
+non-empty tuple of equal-length, non-empty tuples of ``int``.  Input from
+outside this module always goes through ``IntMatrix(...)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Sequence, Union
@@ -48,6 +58,13 @@ class IntMatrix:
     def __init__(self, rows: Iterable[Iterable[int]]):
         object.__setattr__(self, "rows", _as_rows(rows))
 
+    @classmethod
+    def _of(cls, rows: tuple[Row, ...]) -> "IntMatrix":
+        """Trusted constructor: ``rows`` is already valid (see the module docstring)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("IntMatrix is immutable")
 
@@ -55,9 +72,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        n = operator.index(n)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        if n <= _IDENTITY_CACHE_DIM:
+            return _cached_identity(n)
+        return _identity(n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -107,14 +127,14 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._shape_match(other)
-        return IntMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        return IntMatrix._of(
+            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._shape_match(other)
-        return IntMatrix(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        return IntMatrix._of(
+            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows))
         )
 
     def __mul__(self, other: Union["IntMatrix", int]) -> "IntMatrix":
@@ -122,12 +142,12 @@ class IntMatrix:
             if self.ncols != other.nrows:
                 raise ValueError("inner dimensions do not match")
             cols = other.columns()
-            rows = [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self.rows]
-            _guard_rows(rows, "matrix entry")
-            return IntMatrix(rows)
-        rows = [[x * other for x in r] for r in self.rows]
+            rows = tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in cols) for r in self.rows)
+        else:
+            other = operator.index(other)
+            rows = tuple(tuple(x * other for x in r) for r in self.rows)
         _guard_rows(rows, "matrix entry")
-        return IntMatrix(rows)
+        return IntMatrix._of(rows)
 
     __rmul__ = __mul__
 
@@ -145,7 +165,7 @@ class IntMatrix:
         return acc
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.columns())
+        return IntMatrix._of(self.columns())
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -187,6 +207,17 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
+
+
+def _identity(n: int) -> IntMatrix:
+    return IntMatrix._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+# Identities up to this dimension are built once and shared (they are
+# immutable); the cache holds at most this many small matrices, so a batch of
+# large dimensions cannot grow it.
+_IDENTITY_CACHE_DIM = 16
+_cached_identity = functools.lru_cache(maxsize=_IDENTITY_CACHE_DIM)(_identity)
 
 
 def _guard_rows(rows: Iterable[Iterable[int]], context: str) -> None:
@@ -260,7 +291,7 @@ def hermite_normal_form(
     mat = m if isinstance(m, IntMatrix) else IntMatrix(m)
     nr, nc = mat.nrows, mat.ncols
     work = mat.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     top = 0
     for col in range(nc):
         if top == nr:
@@ -295,7 +326,7 @@ def hermite_normal_form(
             _row_addmul(u, i, top, -q)
         top += 1
     _guard_rows(work + u, "normal form entry")
-    return IntMatrix(work), IntMatrix(u)
+    return IntMatrix._of(tuple(map(tuple, work))), IntMatrix._of(tuple(map(tuple, u)))
 
 
 # -- lattices ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Literal, Optional
 from ._frozen import frozen
 from .dynamics import perron_data
 from .formats import format_matrix_text
-from .intmat import IntMatrix, LatticeBasis, Row, left_fixed_lattice, lattice_index, vec_mat
+from .intmat import IntMatrix, LatticeBasis, Row, lattice_index, vec_mat
 from .words import Recognized, StandardForm, recognize
 
 # -- cohomology ------------------------------------------------------------------
@@ -62,22 +62,39 @@ def multiplicity_one(a: IntMatrix) -> int:
     return a.n - (a - IntMatrix.identity(a.n)).rank()
 
 
+def _block_fixed_lattice(rec: Recognized) -> LatticeBasis:
+    """The fixed lattice ``K_B`` of the lower block, read off ``K_A``.
+
+    ``(0, w)`` is fixed by the matrix exactly when ``w`` is fixed by ``B``,
+    and the rows of a Hermite basis that vanish on the first ``l``
+    coordinates are the Hermite basis of the lattice's part there (Cohen, *A
+    Course in Computational Algebraic Number Theory*, section 2.4).  So
+    ``K_B`` is the last ``n - l`` entries of those rows of ``K_A``, with no
+    second Hermite form.  The documented rank relation ``rank K_B = rank K_A
+    - l`` is asserted; it holds exactly when ``K_A`` has a pivot in each of
+    the first ``l`` columns.
+    """
+    ka, l = rec.fixed_lattice, rec.l
+    kb = LatticeBasis(ka.ambient_dim - l, tuple(row[l:] for row in ka.rows if not any(row[:l])))
+    if kb.rank != ka.rank - l:
+        raise RuntimeError("internal: block kernel rank relation violated")
+    return kb
+
+
 def theta_lattice(a: IntMatrix | Recognized) -> tuple[LatticeBasis, int]:
     """The explicit finite-index sublattice of the fixed lattice, with index.
 
     Generators: the sum-zero leading directions ``e_i - e_{i+1}``, one mixed
     generator ``((n-l-1) e_1, -J_0)`` realizing the parameter ``a = 1``, and
-    the fixed vectors of the lower block.  Every generator is checked to be
-    fixed by ``a``; the documented rank relation ``rank K_B = rank K_A - l``
-    is asserted.
+    the fixed vectors of the lower block, ``K_B``, which come from the rows
+    of the fixed lattice ``K_A`` (see :func:`_block_fixed_lattice`).  Every
+    generator is checked to be fixed by ``a``.
     """
     rec = recognize(a)
     a, form, ka = rec.matrix, rec.form, rec.fixed_lattice
     n, l = form.n, form.l
     nl = n - l
-    kb = left_fixed_lattice(form.b)
-    if kb.rank != ka.rank - l:
-        raise RuntimeError("internal: block kernel rank relation violated")
+    kb = _block_fixed_lattice(rec)
     gens: list[Row] = []
     for i in range(l - 1):
         gens.append(

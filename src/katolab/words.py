@@ -135,7 +135,11 @@ def factorize(a: IntMatrix) -> FactorSeq:
     ``n-1`` columns with ``c`` inserted at position ``q``, the number of them
     that precede ``c``.  The chain order is asymmetric, so that count is the
     only position where the columns before ``c`` all precede it and ``c``
-    precedes all after it; the peel checks this one position.  Raises
+    precedes all after it; the peel checks this one position.  The first
+    ``n-1`` columns must form a chain; that is tested on the first peel only,
+    since a successful peel has then tested every adjacent pair of the new
+    columns (those of the old chain, the last one before ``c`` and ``c`` with
+    the first one after it).  Raises
     :class:`NotAProduct` when any step fails, and ``ResourceLimitError`` once
     the word would pass the digit cap in factors (it could not be printed).
     """
@@ -164,9 +168,10 @@ def factorize(a: IntMatrix) -> FactorSeq:
         c = tuple(last[i] - sum(h[i] for h in head) for i in range(n))
         if any(x < 0 for x in c) or not any(c):
             raise NotAProduct("peeled column is not a valid factor column")
-        for i in range(n - 2):
-            if not column_precedes(head[i], head[i + 1]):
-                raise NotAProduct("columns are not chain-ordered")
+        if not peeled:
+            for i in range(n - 2):
+                if not column_precedes(head[i], head[i + 1]):
+                    raise NotAProduct("columns are not chain-ordered")
         before = [column_precedes(h, c) for h in head]
         q = sum(before)
         if not (all(before[:q]) and all(column_precedes(c, h) for h in head[q:])):
@@ -246,7 +251,7 @@ class Recognized:
             if not any(g[0]):
                 raise RuntimeError("internal: off-diagonal line vanishes")
         line: Row = g[0] if l else ()
-        b = IntMatrix([row[l:] for row in a.rows[l:]])
+        b = IntMatrix._of(tuple(row[l:] for row in a.rows[l:]))
         return StandardForm(l=l, g=g, b=b, line=line)
 
     @cached_property

@@ -325,6 +325,13 @@ def test_dynamics_perron_tolerance_beyond_float64(capsys):
     assert 1 < lo <= hi and hi - lo <= Fraction(1e-30) * lo
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_dynamics_perron_rejects_a_non_finite_tolerance(capsys, tol):
+    code, out, err = invoke(capsys, "dynamics", "1,2;2,5", "--action", "perron", f"--tol={tol}")
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == f"error: tolerance must be a finite number, got {float(tol)!r}\n"
+
+
 def test_invariants_large_perron_root(capsys):
     """A valid 6x6 Kato matrix whose block power has a root near 9.3e5; the
     former float residual iteration gave up on it."""

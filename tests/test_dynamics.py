@@ -220,10 +220,16 @@ def test_perron_two_by_two_eigenvalue_product():
 
 
 def test_perron_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tolerance must be positive$"):
         perron_data(B25, tol=0)
     with pytest.raises(NotKato):
         perron_data(IntMatrix([[1, 1], [0, 1]]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_perron_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match=rf"^tolerance must be a finite number, got {tol!r}$"):
+        perron_data(B25, tol=tol)
 
 
 def test_perron_step_cap(monkeypatch):

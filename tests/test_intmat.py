@@ -16,8 +16,9 @@ from katolab import (
     left_fixed_lattice,
     left_kernel_lattice,
 )
+from katolab import FactorSeq, compose_factors, recognize
 from katolab._limits import ResourceLimitError
-from katolab.intmat import vec_mat
+from katolab.intmat import _IDENTITY_CACHE_DIM, _cached_identity, vec_mat
 
 matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -48,6 +49,17 @@ def test_construction_validation():
         IntMatrix([[]])
     with pytest.raises(TypeError):
         IntMatrix([[1.5, 2], [3, 4]])
+    # Input already shaped like the stored rows is checked all the same.
+    with pytest.raises(ValueError):
+        IntMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError):
+        IntMatrix(())
+    with pytest.raises(TypeError):
+        IntMatrix(((1, 2), (3, 4.0)))
+    with pytest.raises(TypeError):
+        IntMatrix(((1, 2), (3, Fraction(4))))
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2], [3, "4"]])
 
 
 def test_immutability_and_equality():
@@ -89,6 +101,68 @@ def test_arithmetic():
     assert a**1 == a
     assert a**3 == a * a * a
     assert a.trace() == 5
+    with pytest.raises(TypeError):
+        a * 1.5
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * a
+
+
+def _is_checked(m: IntMatrix) -> bool:
+    """``m`` is what the public constructor makes of its own rows."""
+    rows = m.rows
+    return (
+        m == IntMatrix(rows)
+        and type(rows) is tuple
+        and all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
+    )
+
+
+square_pairs = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        *[st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)] * 2
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_pairs, rect_matrices, st.integers(-3, 3), st.integers(0, 3))
+def test_internal_results_are_valid_matrices(pair, rect, scalar, e):
+    """Results built without re-checking equal a checked construction of their rows."""
+    a, b = IntMatrix(pair[0]), IntMatrix(pair[1])
+    r = IntMatrix(rect)
+    results = [a + b, a - b, a * b, a * scalar, scalar * a, a**e, r.transpose(), IntMatrix.identity(a.n)]
+    results += hermite_normal_form(r)
+    assert all(_is_checked(m) for m in results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(1, n), min_size=1, max_size=10)
+    .filter(lambda w: any(j != n for j in w))
+    .map(lambda w: FactorSeq(n, tuple(w)))
+))
+def test_block_of_a_recognized_matrix_is_a_valid_matrix(seq):
+    assert _is_checked(recognize(compose_factors(seq)).form.b)
+
+
+def test_cached_identity_cannot_be_mutated():
+    i3 = IntMatrix.identity(3)
+    assert IntMatrix.identity(3) is i3
+    with pytest.raises(AttributeError):
+        i3.rows = ((0,),)
+    with pytest.raises(TypeError):
+        i3.rows[0][0] = 5
+    i3.to_rows()[0][0] = 5
+    assert IntMatrix.identity(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # Larger identities are built afresh, so the cache stays bounded.
+    big = _IDENTITY_CACHE_DIM + 1
+    assert IntMatrix.identity(big) is not IntMatrix.identity(big)
+    assert IntMatrix.identity(big).is_identity()
+    for n in range(1, 3 * _IDENTITY_CACHE_DIM):
+        IntMatrix.identity(n)
+    assert _cached_identity.cache_info().currsize <= _IDENTITY_CACHE_DIM
+    with pytest.raises(TypeError):
+        IntMatrix.identity(3.0)
 
 
 def test_scalar_product_is_guarded(monkeypatch):

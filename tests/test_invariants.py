@@ -4,6 +4,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katolab import (
     DimensionValue,
@@ -18,8 +20,10 @@ from katolab import (
     hol_vf_dimension,
     invariant_monomials,
     lattice_index,
+    left_fixed_lattice,
     multiplicity_one,
     positivity_power,
+    recognize,
     standard_form,
     theta_lattice,
     twisted_betti_numbers,
@@ -27,6 +31,7 @@ from katolab import (
     verify_J0_relation,
 )
 from katolab.intmat import vec_mat
+from katolab.invariants import _block_fixed_lattice
 
 from conftest import random_factor_seq, small_word_corpus
 
@@ -83,9 +88,22 @@ def test_theta_lattice_frozen():
     assert theta.rows == ((1, -1, -1),)
 
 
+kato_words = st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.integers(1, n), min_size=1, max_size=14)
+    .filter(lambda w: any(j != n for j in w))
+    .map(lambda w: FactorSeq(n, tuple(w)))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kato_words)
+def test_block_fixed_lattice_is_read_off_the_fixed_lattice(seq):
+    rec = recognize(compose_factors(seq))
+    assert _block_fixed_lattice(rec) == left_fixed_lattice(rec.form.b)
+
+
 def test_theta_lattice_properties():
     rng = random.Random(71)
-    from katolab import left_fixed_lattice
 
     for _ in range(30):
         seq = random_factor_seq(rng, n_range=(2, 6), k_range=(1, 8))

@@ -129,10 +129,10 @@ def test_recognize_holds_word_and_form():
         rec.matrix = a
 
 
-def count_factorizations(monkeypatch) -> list:
-    """Wrap ``factorize`` in every katolab namespace; returns the list of its arguments."""
+def count_calls(monkeypatch, original) -> list:
+    """Wrap the one-argument function ``original`` in every katolab namespace;
+    returns the list of its arguments."""
     calls = []
-    original = katolab.words.factorize
 
     def counting(a):
         calls.append(a)
@@ -147,7 +147,18 @@ def count_factorizations(monkeypatch) -> list:
 
 
 def test_one_factorization_per_report(monkeypatch):
-    calls = count_factorizations(monkeypatch)
+    calls = count_calls(monkeypatch, katolab.words.factorize)
+    rng = random.Random(5)
+    for _ in range(40):
+        a = compose_factors(random_factor_seq(rng, n_range=(2, 5), k_range=(1, 6)))
+        calls.clear()
+        build_report(a)
+        assert calls == [a]
+
+
+def test_one_fixed_lattice_per_report(monkeypatch):
+    """``K_B`` is read off ``K_A``, so a report computes one fixed lattice."""
+    calls = count_calls(monkeypatch, katolab.intmat.left_fixed_lattice)
     rng = random.Random(5)
     for _ in range(40):
         a = compose_factors(random_factor_seq(rng, n_range=(2, 5), k_range=(1, 6)))
@@ -157,7 +168,7 @@ def test_one_factorization_per_report(monkeypatch):
 
 
 def test_one_factorization_per_verify(monkeypatch, capsys):
-    calls = count_factorizations(monkeypatch)
+    calls = count_calls(monkeypatch, katolab.words.factorize)
     for seq in (FactorSeq(3, (2, 3, 3)), FactorSeq(3, (1, 2, 3, 1, 2, 3)), FactorSeq(3, (2, 3, 2, 3))):
         a = compose_factors(seq)
         calls.clear()
@@ -193,7 +204,7 @@ KATO_ONLY = {
 def test_kato_only_functions_take_a_recognized_matrix(monkeypatch, name):
     """One factorization for a matrix, none for a recognized one, same result."""
     f = KATO_ONLY[name]
-    calls = count_factorizations(monkeypatch)
+    calls = count_calls(monkeypatch, katolab.words.factorize)
     from_matrix = f(A2323)
     assert calls == [A2323]
     rec = recognize(A2323)
@@ -211,7 +222,7 @@ def test_kato_only_functions_refuse_other_matrices(name):
 
 
 def test_erase_index_takes_a_recognized_matrix(monkeypatch):
-    calls = count_factorizations(monkeypatch)
+    calls = count_calls(monkeypatch, katolab.words.factorize)
     out = erase_index(A2323, 1)
     assert calls == [A2323]  # the result is checked by composing its word
     rec = recognize(A2323)

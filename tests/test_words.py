@@ -305,6 +305,25 @@ def test_peel_makes_at_most_3n_minus_4_order_tests_per_factor(monkeypatch):
         assert calls <= (3 * 6 - 4) * seq.k
 
 
+def test_peel_tests_the_column_chain_once_per_word(monkeypatch):
+    """The chain of the first n-1 columns is tested on the first peel only."""
+    calls = 0
+
+    def counting(v, w):
+        nonlocal calls
+        calls += 1
+        return column_precedes(v, w)
+
+    monkeypatch.setattr(katolab.words, "column_precedes", counting)
+    rng = random.Random(17)
+    n = 6
+    for _ in range(200):
+        seq = random_factor_seq(rng, n_range=(n, n), k_range=(1, 12), kato_only=False)
+        calls = 0
+        assert factorize(compose_factors(seq)) == seq
+        assert calls <= (n - 2) + (2 * n - 2) * seq.k
+
+
 @settings(max_examples=150, deadline=None)
 @given(words)
 def test_determinant_is_read_from_the_word(args):
