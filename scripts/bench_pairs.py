@@ -44,6 +44,8 @@ LAYERS = (
     "intmat.IntMatrix.det.calls",
     "invariants.multiplicity_one.calls",
     "invariants.build_report.calls",
+    "intmat.left_fixed_lattice.calls",
+    "intmat.hermite_normal_form.calls",
     "limits.guard_int.calls",
     "dynamics.perron_data.failed",
     "dynamics.perron_data.self_ms",

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from katolab import FactorSeq, IntMatrix, compose_factors, positivity_power
 
 
@@ -73,3 +75,12 @@ def small_word_corpus(n_values=(2, 3, 4), max_k: int = 3) -> list[FactorSeq]:
                 if seq.is_kato_word:
                     out.append(seq)
     return out
+
+
+def kato_words(n_max: int, k_max: int):
+    """Hypothesis strategy: Kato words of dimension 2..``n_max`` with 1..``k_max`` factors."""
+    return st.integers(2, n_max).flatmap(
+        lambda n: st.lists(st.integers(1, n), min_size=1, max_size=k_max)
+        .filter(lambda w: any(j != n for j in w))
+        .map(lambda w: FactorSeq(n, tuple(w)))
+    )

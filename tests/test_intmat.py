@@ -11,14 +11,17 @@ from katolab import (
     IntMatrix,
     LatticeBasis,
     characteristic_polynomial,
+    compose_factors,
     hermite_normal_form,
     lattice_index,
     left_fixed_lattice,
     left_kernel_lattice,
+    recognize,
 )
-from katolab import FactorSeq, compose_factors, recognize
 from katolab._limits import ResourceLimitError
 from katolab.intmat import _IDENTITY_CACHE_DIM, _cached_identity, vec_mat
+
+from conftest import kato_words
 
 matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -136,11 +139,7 @@ def test_internal_results_are_valid_matrices(pair, rect, scalar, e):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 6).flatmap(
-    lambda n: st.lists(st.integers(1, n), min_size=1, max_size=10)
-    .filter(lambda w: any(j != n for j in w))
-    .map(lambda w: FactorSeq(n, tuple(w)))
-))
+@given(kato_words(n_max=6, k_max=10))
 def test_block_of_a_recognized_matrix_is_a_valid_matrix(seq):
     assert _is_checked(recognize(compose_factors(seq)).form.b)
 

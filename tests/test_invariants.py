@@ -5,7 +5,6 @@ import random
 import pytest
 import sympy
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from katolab import (
     DimensionValue,
@@ -33,7 +32,7 @@ from katolab import (
 from katolab.intmat import vec_mat
 from katolab.invariants import _block_fixed_lattice
 
-from conftest import random_factor_seq, small_word_corpus
+from conftest import kato_words, random_factor_seq, small_word_corpus
 
 A23 = compose_factors(FactorSeq(3, (2, 3)))
 B25 = IntMatrix([[1, 2], [2, 5]])
@@ -88,15 +87,8 @@ def test_theta_lattice_frozen():
     assert theta.rows == ((1, -1, -1),)
 
 
-kato_words = st.integers(2, 7).flatmap(
-    lambda n: st.lists(st.integers(1, n), min_size=1, max_size=14)
-    .filter(lambda w: any(j != n for j in w))
-    .map(lambda w: FactorSeq(n, tuple(w)))
-)
-
-
 @settings(max_examples=150, deadline=None)
-@given(kato_words)
+@given(kato_words(n_max=7, k_max=14))
 def test_block_fixed_lattice_is_read_off_the_fixed_lattice(seq):
     rec = recognize(compose_factors(seq))
     assert _block_fixed_lattice(rec) == left_fixed_lattice(rec.form.b)
