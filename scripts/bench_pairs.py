@@ -44,8 +44,6 @@ LAYERS = (
     "intmat.IntMatrix.det.calls",
     "invariants.multiplicity_one.calls",
     "invariants.build_report.calls",
-    "intmat.left_fixed_lattice.calls",
-    "intmat.hermite_normal_form.calls",
     "limits.guard_int.calls",
     "dynamics.perron_data.failed",
     "dynamics.perron_data.self_ms",
@@ -204,10 +202,6 @@ def main(argv=None) -> int:
             },
         }
     out = ROOT / f"BENCH_{args.label}.json"
-    if out.exists():  # keep the in-process readings that scripts/bench_ab.py recorded there
-        earlier = json.loads(out.read_text(encoding="utf-8"))
-        if "in_process_ab" in earlier:
-            report["in_process_ab"] = earlier["in_process_ab"]
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0

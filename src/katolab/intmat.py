@@ -11,15 +11,14 @@ The public constructor ``IntMatrix(rows)`` checks its input: integer
 entries, equal row lengths, at least one row and one column.  The private
 ``IntMatrix._of(rows)`` skips those checks.  It may be used only for results
 of exact integer arithmetic on matrices that are already valid (sums,
-differences, products, transposes, Hermite forms and their witnesses, and
-blocks cut from a valid matrix), and ``rows`` must then already be a
+differences, products, transposes, Hermite forms and their witnesses, blocks
+cut from a valid matrix, and identities), and ``rows`` must then already be a
 non-empty tuple of equal-length, non-empty tuples of ``int``.  Input from
 outside this module always goes through ``IntMatrix(...)``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Iterable, Sequence, Union
@@ -72,12 +71,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        n = operator.index(n)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        if n <= _IDENTITY_CACHE_DIM:
-            return _cached_identity(n)
-        return _identity(n)
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -207,17 +203,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
-
-
-def _identity(n: int) -> IntMatrix:
-    return IntMatrix._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
-# Identities up to this dimension are built once and shared (they are
-# immutable); the cache holds at most this many small matrices, so a batch of
-# large dimensions cannot grow it.
-_IDENTITY_CACHE_DIM = 16
-_cached_identity = functools.lru_cache(maxsize=_IDENTITY_CACHE_DIM)(_identity)
 
 
 def _guard_rows(rows: Iterable[Iterable[int]], context: str) -> None:

@@ -81,6 +81,6 @@ def kato_words(n_max: int, k_max: int):
     """Hypothesis strategy: Kato words of dimension 2..``n_max`` with 1..``k_max`` factors."""
     return st.integers(2, n_max).flatmap(
         lambda n: st.lists(st.integers(1, n), min_size=1, max_size=k_max)
-        .filter(lambda w: any(j != n for j in w))
         .map(lambda w: FactorSeq(n, tuple(w)))
+        .filter(lambda seq: seq.is_kato_word)
     )

@@ -19,7 +19,7 @@ from katolab import (
     recognize,
 )
 from katolab._limits import ResourceLimitError
-from katolab.intmat import _IDENTITY_CACHE_DIM, _cached_identity, vec_mat
+from katolab.intmat import vec_mat
 
 from conftest import kato_words
 
@@ -142,26 +142,6 @@ def test_internal_results_are_valid_matrices(pair, rect, scalar, e):
 @given(kato_words(n_max=6, k_max=10))
 def test_block_of_a_recognized_matrix_is_a_valid_matrix(seq):
     assert _is_checked(recognize(compose_factors(seq)).form.b)
-
-
-def test_cached_identity_cannot_be_mutated():
-    i3 = IntMatrix.identity(3)
-    assert IntMatrix.identity(3) is i3
-    with pytest.raises(AttributeError):
-        i3.rows = ((0,),)
-    with pytest.raises(TypeError):
-        i3.rows[0][0] = 5
-    i3.to_rows()[0][0] = 5
-    assert IntMatrix.identity(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # Larger identities are built afresh, so the cache stays bounded.
-    big = _IDENTITY_CACHE_DIM + 1
-    assert IntMatrix.identity(big) is not IntMatrix.identity(big)
-    assert IntMatrix.identity(big).is_identity()
-    for n in range(1, 3 * _IDENTITY_CACHE_DIM):
-        IntMatrix.identity(n)
-    assert _cached_identity.cache_info().currsize <= _IDENTITY_CACHE_DIM
-    with pytest.raises(TypeError):
-        IntMatrix.identity(3.0)
 
 
 def test_scalar_product_is_guarded(monkeypatch):
